@@ -393,7 +393,7 @@ pub fn tenant(scale: &Scale) -> Vec<ExperimentRecord> {
 
     // --- 2. interval cache: cold vs hot bit-audit + hit-path timing ------
     // Serving state is frozen from here (no truths posted), so every query
-    // is cacheable at one (reload_gen, epoch) pair. Bodies use a chunk size
+    // is cacheable at one serving generation. Bodies use a chunk size
     // no other phase uses, so the cold pass really starts cold.
     let cache_bodies: Vec<Vec<u8>> = (0..CACHE_QUERIES / CACHE_CHUNK)
         .map(|b| {

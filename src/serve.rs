@@ -46,9 +46,17 @@
 //! direct in-process call on the same state (the `net` experiment audits
 //! this; non-finite endpoints travel as the JSON strings `"inf"`/`"-inf"`/
 //! `"nan"` since JSON has no `Infinity`).
+//!
+//! Serving generation: each [`ServeEngine`] carries one process-unique
+//! number for its serving state, replaced under the chain mutex whenever
+//! that state may change. The micro-batcher runner returns every batch's
+//! results with a [`BatchStamp`] — that generation and the serving mode,
+//! read under the same mutex — so a response's `mode` and its intervals
+//! always describe one state, and the interval cache (DESIGN.md §15) keys
+//! bodies by the generation.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 
 use crate::conformal::{
@@ -58,6 +66,9 @@ use crate::conformal::{
 };
 use ce_server::{BatcherStats, HttpServer, Response, ServerStats};
 use ce_telemetry::trace;
+
+/// Interval results for one batch, in query order.
+pub type BatchResults = Vec<Result<PredictionInterval, CardEstError>>;
 
 /// A [`SelfHealingService`] shared between the HTTP workers (read: serve
 /// intervals) and the feedback path (write: observe truths), adapted to the
@@ -125,15 +136,36 @@ pub struct ServeEngine<M, S> {
     healing: SharedHealing<M, S>,
     resilient: Mutex<ResilientService>,
     truth_dedupe: Mutex<TruthDedupe>,
-    /// Serving-state epoch, seqlock-style (DESIGN.md §15): odd while an
-    /// observation window is mutating calibration state, bumped by two for
-    /// every atomic serving-state change (a breaker transition during a
-    /// predict batch, a breaker restore). Two reads of the same *even*
-    /// value bracketing a prediction prove the serving state was quiescent
-    /// in between — the basis of the interval cache's byte-identity
-    /// guarantee. Promotion and rollback both happen inside `observe`, so
-    /// they are covered by the observation window.
-    epoch: AtomicU64,
+    /// Serving generation (DESIGN.md §15): a process-unique number for the
+    /// engine's current serving state. It is replaced, always while the
+    /// chain mutex is held, whenever that state may change: every
+    /// observation (promotion and rollback happen inside one), a breaker
+    /// restore, and any predict batch that starts or ends with a breaker
+    /// not `Closed`. Equal readings therefore mean equal serving state.
+    generation: AtomicU64,
+}
+
+/// The interval results of one batch and the serving state they were
+/// computed at, read under the chain mutex that computed them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchStamp {
+    /// The engine generation the batch ran at; `None` when its results may
+    /// not be cached because a breaker was not `Closed` before or after it.
+    pub generation: Option<u64>,
+    /// The serving mode the intervals were computed in.
+    pub mode: ServiceMode,
+}
+
+/// Source of serving generations. One counter serves every engine in the
+/// process, so no two serving states — across engines and reloads — ever
+/// share a value.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
+/// Whether every chain breaker is `Closed`. Only then does a batch admit
+/// every estimator whatever the query counter says, so its results depend
+/// on calibration state alone.
+fn breakers_closed(resilient: &ResilientService) -> bool {
+    (0..).map_while(|p| resilient.breaker_state(p)).all(|s| s == BreakerState::Closed)
 }
 
 /// Bounded memory of recently seen truth-post IDs (`x-ce-truth-id`). A
@@ -197,48 +229,58 @@ where
             healing,
             resilient: Mutex::new(resilient),
             truth_dedupe: Mutex::new(TruthDedupe::new()),
-            epoch: AtomicU64::new(0),
+            generation: AtomicU64::new(NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)),
         }
     }
 
-    fn resilient(&self) -> std::sync::MutexGuard<'_, ResilientService> {
+    fn resilient(&self) -> MutexGuard<'_, ResilientService> {
         self.resilient.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Takes a fresh serving generation. The chain guard is the proof that
+    /// the caller holds the mutex every batch stamps under; as it is held
+    /// across the whole state change, renewing before or after the change
+    /// is the same to every reader.
+    fn renew_generation(&self, _chain: &MutexGuard<'_, ResilientService>) {
+        self.generation.store(NEXT_GENERATION.fetch_add(1, Ordering::Relaxed), Ordering::SeqCst);
     }
 
     /// Serves a batch through the full resilient chain (breakers, fallbacks,
     /// conservative floor all apply). Pure with respect to calibration
-    /// state: feedback only ever arrives via [`ServeEngine::observe`]. A
-    /// breaker transition *during* the batch (trip, half-open admission,
-    /// close-on-success) changes which estimator answers, so it bumps the
-    /// serving epoch while the chain lock is still held.
-    pub fn predict_batch(
-        &self,
-        queries: &[Vec<f32>],
-    ) -> Vec<Result<PredictionInterval, CardEstError>> {
+    /// state: feedback only ever arrives via [`ServeEngine::observe`].
+    pub fn predict_batch(&self, queries: &[Vec<f32>]) -> BatchResults {
+        self.predict_batch_stamped(queries).0
+    }
+
+    /// [`ServeEngine::predict_batch`] plus the [`BatchStamp`] of the state
+    /// it ran at. A batch that starts or ends with a breaker not `Closed`
+    /// takes a fresh generation: an `Open` breaker's cooldown counts
+    /// queries, so even a batch without a transition moves what later
+    /// batches serve.
+    pub fn predict_batch_stamped(&self, queries: &[Vec<f32>]) -> (BatchResults, BatchStamp) {
         let mut resilient = self.resilient();
-        let before = breaker_fingerprint(&resilient);
+        let closed_before = breakers_closed(&resilient);
         let results = resilient.predict_interval_batch(queries);
-        if breaker_fingerprint(&resilient) != before {
-            self.epoch.fetch_add(2, Ordering::SeqCst);
+        let generation = (closed_before && breakers_closed(&resilient)).then(|| self.generation());
+        if generation.is_none() {
+            self.renew_generation(&resilient);
         }
-        results
+        let mode = self.healing.read().service().mode();
+        (results, BatchStamp { generation, mode })
     }
 
     /// Feeds one executed query's truth to every chain entry — the primary's
-    /// write routes into the self-healing state machine. The serving epoch
-    /// is odd for the duration: calibration state (and, on promotion or
-    /// rollback, the serving threshold itself) mutates inside.
+    /// write routes into the self-healing state machine — and takes a fresh
+    /// generation before releasing the chain mutex.
     pub fn observe(&self, features: &[f32], y_true: f64) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        self.resilient().observe(features, y_true);
-        self.epoch.fetch_add(1, Ordering::SeqCst);
+        let mut resilient = self.resilient();
+        resilient.observe(features, y_true);
+        self.renew_generation(&resilient);
     }
 
-    /// The serving-state epoch (see the field docs): even means quiescent,
-    /// and two equal even reads bracketing a prediction prove no serving
-    /// state changed in between.
-    pub fn serving_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+    /// The serving generation (see the field docs).
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::SeqCst)
     }
 
     /// Feeds a whole batch of truths, atomically claiming `truth_id` first
@@ -287,11 +329,11 @@ where
     /// Restores breaker state from a checkpoint's snapshots (the healing
     /// half is restored by constructing the engine from
     /// [`SelfHealingService::restore`]). Counts as a serving-state change:
-    /// the epoch advances so no cached interval predates the restore.
+    /// the engine takes a fresh generation.
     pub fn restore_breakers(&self, snapshots: &[BreakerSnapshot]) -> Result<(), CardEstError> {
-        let result = self.resilient().restore_breakers(snapshots);
-        self.epoch.fetch_add(2, Ordering::SeqCst);
-        result
+        let mut resilient = self.resilient();
+        self.renew_generation(&resilient);
+        resilient.restore_breakers(snapshots)
     }
 
     /// The healing layer's remediation tuning (the reload validator reuses
@@ -333,15 +375,6 @@ where
             ce_telemetry::gauge("serve.rollbacks").set(healing.rollback_count() as f64);
         }
     }
-}
-
-/// Point-in-time fingerprint of every chain breaker's state. Which
-/// estimator answers a query depends only on these states (and the
-/// calibration state covered by the observe window), so an unchanged
-/// fingerprint across a predict batch means serving behaviour was
-/// unchanged by it.
-fn breaker_fingerprint(resilient: &ResilientService) -> Vec<BreakerState> {
-    (0..).map_while(|position| resilient.breaker_state(position)).collect()
 }
 
 /// Tuning for [`start_server`].

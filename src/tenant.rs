@@ -26,16 +26,16 @@
 //!   admission-queue 503 hands the tenant currently over its fair share a
 //!   longer hint than its victims. Per-tenant shed counters and
 //!   queue-depth gauges ride `/metrics`.
-//! - **Interval cache** — an LRU keyed by (model, request-signature,
-//!   reload generation, serving epoch) memoizes predict response bodies.
-//!   Truth-carrying requests bypass it (they mutate state). The epoch pair
-//!   is seqlock-style: every serving-state change (any observation,
-//!   promotion/rollback inside one, a breaker transition, a reload)
-//!   advances it, and an entry is only written when two even reads
-//!   bracketing the computation match — so a hit is *byte-identical* to a
-//!   fresh prediction at the same epoch, which the `tenant` experiment
-//!   bit-audits on the wire. Reload additionally invalidates the model's
-//!   entries wholesale.
+//! - **Interval cache** — an LRU keyed by (model, request signature,
+//!   serving generation) memoizes predict response bodies. Truth-carrying
+//!   requests bypass it (they mutate state). The generation is the
+//!   engine's process-unique serving-state number ([`crate::serve`]): a
+//!   lookup reads it once, and a body is inserted only under the
+//!   generation its batch stamped, so an entry always holds what a fresh
+//!   prediction at that state renders — a hit is *byte-identical*, which
+//!   the `tenant` experiment bit-audits on the wire. A reload swaps in an
+//!   engine whose generation no earlier state shared, then invalidates the
+//!   model's entries wholesale to reclaim their memory.
 //!
 //! Lock order: the registry's model map read-lock, then a model's engine
 //! slot read-lock, then the engine's documented `resilient → healing`
@@ -53,7 +53,7 @@ use crate::conformal::{
 };
 use crate::serve::{
     json_error, parse_predict_body, parse_truth_id, publish_server_stats, render_predict_body,
-    HttpServeConfig, ServeEngine, ServeHandle,
+    BatchResults, BatchStamp, HttpServeConfig, ServeEngine, ServeHandle,
 };
 use ce_server::{
     fnv1a64, Admission, BatchError, BatcherConfig, BatcherStats, HttpServer, MicroBatcher,
@@ -73,8 +73,8 @@ pub const DEFAULT_MODEL: &str = "default";
 pub type EngineFactory<M, S> =
     Box<dyn Fn(Checkpoint) -> Result<ServeEngine<M, S>, CardEstError> + Send + Sync>;
 
-/// Interval results for one batch, as produced by the resilient chain.
-type BatchResults = Vec<Result<PredictionInterval, CardEstError>>;
+/// One query's result from the micro-batcher, with its batch's stamp.
+type StampedResult = (Result<PredictionInterval, CardEstError>, BatchStamp);
 
 /// Monotonic nanoseconds since the first call in this process — the
 /// limiter's deterministic clock input.
@@ -139,15 +139,14 @@ impl RegistryTuning {
 // ---------------------------------------------------------------------------
 
 /// Cache key: one model's request signature at one serving state. The
-/// (reload generation, serving epoch) pair makes stale entries
-/// unreachable rather than deleted — any state change moves the key
-/// space, and LRU pressure reclaims the orphans.
+/// serving generation makes stale entries unreachable rather than deleted —
+/// any state change moves the key space, and LRU pressure reclaims the
+/// orphans.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
     model: String,
     signature: u64,
-    reload_gen: u64,
-    epoch: u64,
+    generation: u64,
 }
 
 struct CacheSlot {
@@ -174,7 +173,7 @@ struct CacheInner {
 pub struct CacheStats {
     /// Lookups that returned a body.
     pub hits: u64,
-    /// Lookups that missed (including epoch moves).
+    /// Lookups that missed (including generation moves).
     pub misses: u64,
     /// Entries evicted by capacity pressure.
     pub evictions: u64,
@@ -188,7 +187,7 @@ pub struct CacheStats {
 /// `PreciseCardinalityHintGenerator` keeps a per-estimator cardinality
 /// cache that is manually reset on data shift; this is that idea adapted
 /// to interval *responses*, with the reset made automatic and provable
-/// via the epoch key.
+/// via the generation key.
 pub struct IntervalCache {
     cap: usize,
     inner: Mutex<CacheInner>,
@@ -210,11 +209,11 @@ impl IntervalCache {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn get(&self, model: &str, signature: u64, reload_gen: u64, epoch: u64) -> Option<Arc<str>> {
+    fn get(&self, model: &str, signature: u64, generation: u64) -> Option<Arc<str>> {
         if self.cap == 0 {
             return None;
         }
-        let key = CacheKey { model: model.to_string(), signature, reload_gen, epoch };
+        let key = CacheKey { model: model.to_string(), signature, generation };
         let mut inner = self.lock();
         inner.clock += 1;
         let stamp = inner.clock;
@@ -234,11 +233,11 @@ impl IntervalCache {
         }
     }
 
-    fn insert(&self, model: &str, signature: u64, reload_gen: u64, epoch: u64, body: &str) {
+    fn insert(&self, model: &str, signature: u64, generation: u64, body: &str) {
         if self.cap == 0 {
             return;
         }
-        let key = CacheKey { model: model.to_string(), signature, reload_gen, epoch };
+        let key = CacheKey { model: model.to_string(), signature, generation };
         let mut inner = self.lock();
         inner.clock += 1;
         let stamp = inner.clock;
@@ -256,8 +255,8 @@ impl IntervalCache {
         inner.map.insert(key, CacheSlot { stamp, body: Arc::from(body) });
     }
 
-    /// Drops every entry belonging to `model` (any generation or epoch) —
-    /// the wholesale reset on reload. The epoch key already makes stale
+    /// Drops every entry belonging to `model` (any generation) — the
+    /// wholesale reset on reload. The generation key already makes stale
     /// entries unreachable; this reclaims their memory immediately.
     fn invalidate_model(&self, model: &str) {
         let mut inner = self.lock();
@@ -290,15 +289,11 @@ impl IntervalCache {
 
 /// One named model: the engine slot (swapped atomically on reload), its
 /// micro-batcher (which outlives reloads — in-flight batches finish on
-/// the engine they resolved), the reload seqlock, and the held-back
-/// replay buffer.
+/// the engine they resolved), and the held-back replay buffer.
 pub struct ModelEntry<M, S> {
     name: String,
     slot: Arc<RwLock<Arc<ServeEngine<M, S>>>>,
-    batcher: Arc<MicroBatcher<Vec<f32>, Result<PredictionInterval, CardEstError>>>,
-    /// Seqlock generation for engine swaps: odd while a swap is in
-    /// progress, +2 per completed reload. Part of every cache key.
-    reload_gen: AtomicU64,
+    batcher: Arc<MicroBatcher<Vec<f32>, StampedResult>>,
     reloads: AtomicU64,
     reload_rejects: AtomicU64,
     cache_hits: AtomicU64,
@@ -321,13 +316,13 @@ where
             // the batch finishes on the engine it started with.
             let engine =
                 Arc::clone(&*batcher_slot.read().unwrap_or_else(|e| e.into_inner()));
-            engine.predict_batch(&items)
+            let (results, stamp) = engine.predict_batch_stamped(&items);
+            results.into_iter().map(|r| (r, stamp)).collect()
         });
         ModelEntry {
             name: name.to_string(),
             slot,
             batcher,
-            reload_gen: AtomicU64::new(0),
             reloads: AtomicU64::new(0),
             reload_rejects: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
@@ -347,11 +342,6 @@ where
         Arc::clone(&*self.slot.read().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// The reload seqlock value (even = quiescent).
-    pub fn reload_gen(&self) -> u64 {
-        self.reload_gen.load(Ordering::SeqCst)
-    }
-
     /// Completed reload swaps.
     pub fn reloads(&self) -> u64 {
         self.reloads.load(Ordering::Relaxed)
@@ -360,14 +350,6 @@ where
     /// Reload candidates rejected by shadow validation.
     pub fn reload_rejects(&self) -> u64 {
         self.reload_rejects.load(Ordering::Relaxed)
-    }
-
-    /// Atomically swaps the serving engine (seqlock around the store, so
-    /// cache writers that straddle the swap abandon their insert).
-    fn swap(&self, engine: Arc<ServeEngine<M, S>>) {
-        self.reload_gen.fetch_add(1, Ordering::SeqCst);
-        *self.slot.write().unwrap_or_else(|e| e.into_inner()) = engine;
-        self.reload_gen.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Remembers observed truths for reload validation (bounded FIFO).
@@ -599,7 +581,9 @@ where
                 return Ok(report);
             }
         }
-        entry.swap(Arc::new(shadow));
+        // An insert from a batch that straddles the swap lands under the old
+        // engine's generation, which no later lookup reads.
+        *entry.slot.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(shadow);
         self.cache.invalidate_model(name);
         entry.reloads.fetch_add(1, Ordering::Relaxed);
         report.promoted = true;
@@ -771,6 +755,9 @@ where
         }
         ("GET", "/metrics") => metrics(registry, probe),
         ("GET", "/debug/trace") => Response::json(200, trace::snapshot_json()),
+        (_, "/healthz" | "/readyz" | "/metrics" | "/debug/trace") => {
+            json_error(405, "method not allowed")
+        }
         ("POST", "/v1/predict") => admit_predict(req, registry, DEFAULT_MODEL),
         ("POST", "/v1/observe") => observe_post(req, registry, DEFAULT_MODEL),
         ("POST", p) => {
@@ -783,9 +770,6 @@ where
             } else {
                 json_error(404, "no such endpoint")
             }
-        }
-        (_, "/healthz" | "/readyz" | "/metrics" | "/debug/trace") => {
-            json_error(405, "method not allowed")
         }
         (_, "/v1/predict" | "/v1/observe") => json_error(405, "method not allowed"),
         (_, p)
@@ -866,12 +850,6 @@ where
     }
 }
 
-/// Both halves of the epoch pair are even: no observation window, swap,
-/// or breaker transition is in progress.
-fn quiescent(reload_gen: u64, epoch: u64) -> bool {
-    reload_gen & 1 == 0 && epoch & 1 == 0
-}
-
 fn predict_inner<M, S>(
     req: &Request,
     registry: &ModelRegistry<M, S>,
@@ -886,18 +864,13 @@ where
         Ok(parsed) => parsed,
         Err(msg) => return json_error(422, &msg),
     };
-    // Cache protocol (module docs): truth-free requests may be answered
-    // from the cache, keyed by the raw body signature at the current
-    // (reload_gen, epoch) — both read *before* the lookup, and an entry is
-    // only ever inserted when the same even pair brackets the computation.
-    let cacheable = truths.is_none() && registry.cache.enabled();
-    let signature = fnv1a64(req.body);
-    let gen_before = entry.reload_gen();
-    let epoch_before = entry.engine().serving_epoch();
-    if cacheable && quiescent(gen_before, epoch_before) {
-        if let Some(body) =
-            registry.cache.get(&entry.name, signature, gen_before, epoch_before)
-        {
+    // Cache protocol (module docs): a truth-free request may be answered
+    // from the cache, keyed by the raw body signature at the generation
+    // read here; a miss is inserted under the generation its batch stamped.
+    let lookup = (truths.is_none() && registry.cache.enabled())
+        .then(|| (fnv1a64(req.body), entry.engine().generation()));
+    if let Some((signature, generation)) = lookup {
+        if let Some(body) = registry.cache.get(&entry.name, signature, generation) {
             entry.cache_hits.fetch_add(1, Ordering::Relaxed);
             ce_telemetry::counter("tenant.cache_hit").inc();
             return Response::json(200, body.as_ref());
@@ -905,21 +878,22 @@ where
         entry.cache_misses.fetch_add(1, Ordering::Relaxed);
         ce_telemetry::counter("tenant.cache_miss").inc();
     }
-    let results = match entry.batcher.submit_all(features.clone()) {
-        Ok(results) => results,
-        Err(BatchError::QueueFull) => {
-            trace::event("shed", "admission queue full");
-            if let Some(limiter) = registry.limiter() {
-                limiter.note_overflow(tenant);
+    let (results, stamps): (BatchResults, Vec<BatchStamp>) =
+        match entry.batcher.submit_all(features.clone()) {
+            Ok(served) => served.into_iter().unzip(),
+            Err(BatchError::QueueFull) => {
+                trace::event("shed", "admission queue full");
+                if let Some(limiter) = registry.limiter() {
+                    limiter.note_overflow(tenant);
+                }
+                return json_error(503, "admission queue full")
+                    .header("Retry-After", registry.overflow_retry_hint(tenant));
             }
-            return json_error(503, "admission queue full")
-                .header("Retry-After", registry.overflow_retry_hint(tenant));
-        }
-        Err(BatchError::Shutdown) => {
-            return json_error(503, "server draining").header("Retry-After", "1");
-        }
-        Err(BatchError::Failed) => return json_error(500, "batch execution failed"),
-    };
+            Err(BatchError::Shutdown) => {
+                return json_error(503, "server draining").header("Retry-After", "1");
+            }
+            Err(BatchError::Failed) => return json_error(500, "batch execution failed"),
+        };
     // Prequential feedback strictly after the predictions: the intervals
     // above were served from pre-feedback state, like the offline loops.
     if let Some(truths) = &truths {
@@ -928,15 +902,16 @@ where
             entry.remember(&features, truths);
         }
     }
-    let engine = entry.engine();
-    let body = render_predict_body(engine.mode(), &results);
-    if cacheable && results.iter().all(|r| r.is_ok()) {
-        let gen_after = entry.reload_gen();
-        let epoch_after = engine.serving_epoch();
-        if (gen_before, epoch_before) == (gen_after, epoch_after)
-            && quiescent(gen_after, epoch_after)
+    // `mode` comes from the state the intervals were computed in (a request
+    // may span two batches; the last one labels it).
+    let mode = stamps.last().map_or_else(|| entry.engine().mode(), |s| s.mode);
+    let body = render_predict_body(mode, &results);
+    let generation = stamps.first().and_then(|s| s.generation);
+    if let (Some((signature, _)), Some(generation)) = (lookup, generation) {
+        if stamps.iter().all(|s| s.generation == Some(generation))
+            && results.iter().all(|r| r.is_ok())
         {
-            registry.cache.insert(&entry.name, signature, gen_after, epoch_after, &body);
+            registry.cache.insert(&entry.name, signature, generation, &body);
         }
     }
     Response::json(200, body)
@@ -1060,8 +1035,7 @@ where
         entries.iter().zip(&labels).map(|(e, l)| (l.clone(), f(e))).collect()
     };
     series("model_observations", &collect(&|e| e.engine().observations() as f64));
-    series("model_epoch", &collect(&|e| e.engine().serving_epoch() as f64));
-    series("model_reload_gen", &collect(&|e| e.reload_gen() as f64));
+    series("model_generation", &collect(&|e| e.engine().generation() as f64));
     series("model_reloads", &collect(&|e| e.reloads() as f64));
     series("model_reload_rejects", &collect(&|e| e.reload_rejects() as f64));
     series("model_cache_hits", &collect(&|e| e.cache_hits.load(Ordering::Relaxed) as f64));
@@ -1114,7 +1088,8 @@ where
 mod tests {
     use super::*;
     use crate::conformal::{
-        encode_checkpoint, AbsoluteResidual, HealConfig, PiServiceConfig, SelfHealingService,
+        encode_checkpoint, AbsoluteResidual, BreakerState, HealConfig, PiServiceConfig,
+        SelfHealingService, ServiceMode,
     };
     use crate::serve::{start_server, HttpServeConfig};
     use ce_server::{Headers, HttpClient};
@@ -1138,8 +1113,19 @@ mod tests {
     }
 
     fn healing(cx: &[Vec<f32>], cy: &[f64]) -> SelfHealingService<Model, AbsoluteResidual> {
+        healing_with(ident as Model, cx, cy)
+    }
+
+    fn healing_with<M>(
+        model: M,
+        cx: &[Vec<f32>],
+        cy: &[f64],
+    ) -> SelfHealingService<M, AbsoluteResidual>
+    where
+        M: Regressor + Clone + Send + Sync,
+    {
         SelfHealingService::new(
-            ident as Model,
+            model,
             AbsoluteResidual,
             cx,
             cy,
@@ -1170,12 +1156,15 @@ mod tests {
 
     /// An in-process request against `route_registry` (no sockets): the
     /// deterministic harness for the cache/race tests.
-    fn post(
-        registry: &ModelRegistry<Model, AbsoluteResidual>,
+    fn post<M>(
+        registry: &ModelRegistry<M, AbsoluteResidual>,
         target: &str,
         headers: &[(&str, &str)],
         body: &[u8],
-    ) -> Response {
+    ) -> Response
+    where
+        M: Regressor + Clone + Send + Sync + 'static,
+    {
         let req = Request {
             method: "POST",
             target,
@@ -1186,6 +1175,194 @@ mod tests {
         let draining = AtomicBool::new(false);
         let probe = OnceLock::new();
         route_registry(&req, registry, &draining, &probe)
+    }
+
+    /// What `engine` renders for `queries` right now, computed in process.
+    fn fresh_render<M>(engine: &ServeEngine<M, AbsoluteResidual>, queries: &[Vec<f32>]) -> String
+    where
+        M: Regressor + Clone + Send + Sync + 'static,
+    {
+        let (results, stamp) = engine.predict_batch_stamped(queries);
+        render_predict_body(stamp.mode, &results)
+    }
+
+    /// A model gate: once armed, the next forward parks until released.
+    #[derive(Default)]
+    struct Gate {
+        state: Mutex<GateState>,
+        wake: std::sync::Condvar,
+    }
+
+    #[derive(Default)]
+    struct GateState {
+        armed: bool,
+        parked: bool,
+        released: bool,
+    }
+
+    impl Gate {
+        fn wait_while(&self, blocked: impl Fn(&GateState) -> bool) {
+            let state = self.state.lock().unwrap();
+            drop(self.wake.wait_while(state, |st| blocked(st)).unwrap());
+        }
+
+        /// Called from the model's forward.
+        fn pass(&self) {
+            let mut state = self.state.lock().unwrap();
+            if state.armed {
+                state.armed = false;
+                state.parked = true;
+                drop(state);
+                self.wake.notify_all();
+                self.wait_while(|st| !st.released);
+            }
+        }
+
+        fn arm(&self) {
+            self.state.lock().unwrap().armed = true;
+        }
+
+        fn release(&self) {
+            self.state.lock().unwrap().released = true;
+            self.wake.notify_all();
+        }
+    }
+
+    #[test]
+    fn probe_endpoints_answer_405_to_post() {
+        let registry: ModelRegistry<Model, AbsoluteResidual> = ModelRegistry::new(tuning());
+        registry.register(DEFAULT_MODEL, engine());
+        for path in ["/healthz", "/readyz", "/metrics", "/debug/trace"] {
+            assert_eq!(post(&registry, path, &[], b"").status, 405, "POST {path}");
+        }
+        registry.shutdown_batchers();
+    }
+
+    #[test]
+    fn predict_parked_across_a_reload_is_labeled_and_cached_by_its_own_engine() {
+        let gate = Arc::new(Gate::default());
+        let model = {
+            let gate = Arc::clone(&gate);
+            move |f: &[f32]| {
+                gate.pass();
+                f64::from(f[0])
+            }
+        };
+        let (cx, cy) = calib(200);
+        let e1 = ServeEngine::new(healing_with(model.clone(), &cx, &cy), vec![], 1);
+        // E2 is driven into `Drifted` by ever larger residuals.
+        let e2 = ServeEngine::new(healing_with(model, &cx, &cy), vec![], 1);
+        for i in 0..400 {
+            if e2.mode() == ServiceMode::Drifted {
+                break;
+            }
+            let x = (i % 200) as f32;
+            e2.observe(&[x], f64::from(x) + 2.0 + f64::from(i));
+        }
+        assert_eq!(e2.mode(), ServiceMode::Drifted);
+        let e2 = Mutex::new(Some(e2));
+        let factory: EngineFactory<_, AbsoluteResidual> =
+            Box::new(move |_| Ok(e2.lock().unwrap().take().expect("one reload")));
+        // No truths are posted, so `min_replay` stays unmet and the swap
+        // skips validation (which would otherwise wait on E1's chain).
+        let registry = Arc::new(ModelRegistry::new(tuning()).with_factory(factory));
+        let entry = registry.register(DEFAULT_MODEL, e1);
+        let e1 = entry.engine();
+        assert_eq!(e1.mode(), ServiceMode::Stable);
+        let queries = [vec![21.0f32]];
+        let body = br#"{"features":[[21.0]]}"#;
+        let e1_body = fresh_render(&e1, &queries);
+        let checkpoint = encode_checkpoint(&e1.checkpoint());
+
+        // Park a cache-miss predict inside E1's forward, then swap in E2.
+        gate.arm();
+        let parked = {
+            let registry = Arc::clone(&registry);
+            std::thread::spawn(move || post(&registry, "/v1/predict", &[], body))
+        };
+        gate.wait_while(|st| !st.parked);
+        assert_eq!(registry.cache().stats().misses, 1, "the parked predict missed");
+        let report = registry.reload(DEFAULT_MODEL, &checkpoint).expect("reload");
+        assert!(report.promoted && !report.validated);
+        gate.release();
+
+        let parked = parked.join().expect("parked predict");
+        assert_eq!(parked.status, 200);
+        let parked = String::from_utf8_lossy(&parked.body).into_owned();
+        assert!(parked.contains("\"mode\":\"stable\""), "{parked}");
+        assert_eq!(parked, e1_body, "the parked response is E1's, mode included");
+
+        let e2 = entry.engine();
+        assert!(!Arc::ptr_eq(&e1, &e2));
+        let misses = registry.cache().stats().misses;
+        let next = post(&registry, "/v1/predict", &[], body);
+        assert_eq!(registry.cache().stats().misses, misses + 1, "E1's body is not served");
+        let e2_body = fresh_render(&e2, &queries);
+        assert_ne!(e2_body, e1_body);
+        assert_eq!(String::from_utf8_lossy(&next.body), e2_body);
+        let hits = registry.cache().stats().hits;
+        let again = post(&registry, "/v1/predict", &[], body);
+        assert_eq!(registry.cache().stats().hits, hits + 1);
+        assert_eq!(String::from_utf8_lossy(&again.body), e2_body);
+        registry.shutdown_batchers();
+    }
+
+    #[test]
+    fn nothing_is_cached_while_a_breaker_is_open() {
+        // The primary returns NaN on the next `fails` forwards, then recovers.
+        let fails = Arc::new(AtomicU64::new(0));
+        let model = {
+            let fails = Arc::clone(&fails);
+            move |f: &[f32]| {
+                let failing =
+                    fails.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+                if failing.is_ok() {
+                    f64::NAN
+                } else {
+                    f64::from(f[0])
+                }
+            }
+        };
+        let (cx, cy) = calib(200);
+        let registry = ModelRegistry::new(tuning());
+        let engine = ServeEngine::new(healing_with(model, &cx, &cy), vec![], 1);
+        let entry = registry.register(DEFAULT_MODEL, engine);
+        let primary_state = || entry.engine().checkpoint().breakers[0].state;
+        // Five queries fail on the batched forward and again on the serial
+        // walk: five consecutive failures trip the primary's breaker.
+        fails.store(10, Ordering::SeqCst);
+        let five = br#"{"features":[[1.0],[2.0],[3.0],[4.0],[5.0]]}"#;
+        let trip = post(&registry, "/v1/predict", &[], five);
+        assert_eq!(trip.status, 200);
+        assert_eq!(primary_state(), BreakerState::Open);
+        assert_eq!(registry.cache().stats().entries, 0);
+
+        // While the breaker is open the floor answers, and nothing is cached.
+        let body = br#"{"features":[[7.0]]}"#;
+        for _ in 0..2 {
+            let open = post(&registry, "/v1/predict", &[], body);
+            assert!(String::from_utf8_lossy(&open.body).contains("inf"));
+            assert_eq!(registry.cache().stats().entries, 0, "no insert while Open");
+        }
+        // Count the cooldown down without a breaker transition.
+        entry.engine().predict_batch(&vec![vec![8.0]; 60]);
+        assert_eq!(primary_state(), BreakerState::Open);
+
+        // The cooldown has passed and the primary has recovered: the served
+        // body is a fresh prediction, not the cached fallback floor.
+        let recovered = post(&registry, "/v1/predict", &[], body);
+        assert_eq!(primary_state(), BreakerState::Closed);
+        let fresh = fresh_render(&entry.engine(), &[vec![7.0]]);
+        assert!(!fresh.contains("inf"), "{fresh}");
+        assert_eq!(String::from_utf8_lossy(&recovered.body), fresh);
+        // With every breaker closed again, the body is cached and hit.
+        post(&registry, "/v1/predict", &[], body);
+        assert_eq!(registry.cache().stats().entries, 1);
+        let hits = registry.cache().stats().hits;
+        let hit = post(&registry, "/v1/predict", &[], body);
+        assert_eq!(registry.cache().stats().hits, hits + 1);
+        assert_eq!(String::from_utf8_lossy(&hit.body), fresh);
+        registry.shutdown_batchers();
     }
 
     #[test]
@@ -1215,6 +1392,7 @@ mod tests {
             text.contains("cardest_model_observations{model=\"default\"}"),
             "per-model labeled series must be exposed"
         );
+        assert!(text.contains("cardest_model_generation{model=\"default\"}"));
         handle.drain();
     }
 
@@ -1269,7 +1447,7 @@ mod tests {
         );
         assert_eq!(with_truths.status, 200);
         assert_eq!(registry.cache().stats().hits, hits_before, "truths must bypass the cache");
-        // …and, being an observation, it moved the serving epoch: the old
+        // …and, being an observation, it moved the serving generation: the old
         // entry is unreachable, the next predict is a miss at the new key.
         let misses_before = registry.cache().stats().misses;
         let third = post(&registry, "/v1/predict", &[], body);
@@ -1301,7 +1479,7 @@ mod tests {
         let probe_body = br#"{"features":[[12.0]]}"#;
         let before_reload = post(&registry, "/v1/predict", &[], probe_body);
         assert_eq!(before_reload.status, 200);
-        let gen_before = entry.reload_gen();
+        let gen_before = entry.engine().generation();
         // A healthy checkpoint (the live engine's own state) promotes.
         let good = encode_checkpoint(&entry.engine().checkpoint());
         let resp = post(&registry, "/v1/admin/models/default", &[], &good);
@@ -1310,9 +1488,12 @@ mod tests {
         assert!(text.contains("\"promoted\":true"));
         assert!(text.contains("\"validated\":true"));
         assert_eq!(entry.reloads(), 1);
-        let gen_after = entry.reload_gen();
-        assert_eq!(gen_after, gen_before + 2, "a swap must advance the reload seqlock by 2");
-        assert_eq!(gen_after % 2, 0, "the seqlock must settle even");
+        assert_ne!(entry.engine().generation(), gen_before, "a swap must change the generation");
+        assert_eq!(
+            String::from_utf8_lossy(&post(&registry, "/v1/predict", &[], probe_body).body),
+            fresh_render(&entry.engine(), &[vec![12.0]]),
+            "the post-swap body must equal a fresh render"
+        );
         assert!(
             registry.cache().stats().invalidations > 0,
             "promotion must invalidate the model's cached intervals"
@@ -1345,6 +1526,7 @@ mod tests {
             Arc::new(ModelRegistry::new(tuning()).with_factory(factory()));
         let entry = registry.register(DEFAULT_MODEL, engine());
         let checkpoint = encode_checkpoint(&entry.engine().checkpoint());
+        let gen_before = entry.engine().generation();
         let stop = Arc::new(AtomicBool::new(false));
         let started = Arc::new(AtomicU64::new(0));
         let workers: Vec<_> = (0..3)
@@ -1383,13 +1565,12 @@ mod tests {
             assert!(worker.join().expect("worker must not panic") > 0);
         }
         assert_eq!(entry.reloads(), 20);
-        assert_eq!(entry.reload_gen() % 2, 0);
+        assert_ne!(entry.engine().generation(), gen_before, "swaps must change the generation");
         // Post-churn: a served (possibly cached) response must match a
         // fresh render from the live engine — no stale bytes survive.
         let body = br#"{"features":[[5.0]]}"#;
         let served = post(&registry, "/v1/predict", &[], body);
-        let engine = entry.engine();
-        let fresh = render_predict_body(engine.mode(), &engine.predict_batch(&[vec![5.0]]));
+        let fresh = fresh_render(&entry.engine(), &[vec![5.0]]);
         assert_eq!(String::from_utf8_lossy(&served.body), fresh);
         registry.shutdown_batchers();
     }
@@ -1444,27 +1625,27 @@ mod tests {
     #[test]
     fn interval_cache_lru_evicts_oldest_and_model_invalidation_is_scoped() {
         let cache = IntervalCache::new(2);
-        cache.insert("m", 1, 0, 0, "one");
-        cache.insert("m", 2, 0, 0, "two");
-        assert_eq!(cache.get("m", 1, 0, 0).as_deref(), Some("one"));
+        cache.insert("m", 1, 0, "one");
+        cache.insert("m", 2, 0, "two");
+        assert_eq!(cache.get("m", 1, 0).as_deref(), Some("one"));
         // Key 2 is now least-recently-used; a third insert evicts it.
-        cache.insert("m", 3, 0, 0, "three");
-        assert!(cache.get("m", 2, 0, 0).is_none(), "LRU victim");
-        assert_eq!(cache.get("m", 1, 0, 0).as_deref(), Some("one"));
+        cache.insert("m", 3, 0, "three");
+        assert!(cache.get("m", 2, 0).is_none(), "LRU victim");
+        assert_eq!(cache.get("m", 1, 0).as_deref(), Some("one"));
         assert_eq!(cache.stats().evictions, 1);
-        // A different epoch is a different key: no accidental aliasing.
-        assert!(cache.get("m", 1, 0, 2).is_none());
+        // A different generation is a different key: no accidental aliasing.
+        assert!(cache.get("m", 1, 2).is_none());
         // Invalidation is scoped to the named model.
-        cache.insert("other", 9, 0, 0, "kept");
+        cache.insert("other", 9, 0, "kept");
         cache.invalidate_model("m");
-        assert!(cache.get("m", 1, 0, 0).is_none());
-        assert!(cache.get("m", 3, 0, 0).is_none());
-        assert_eq!(cache.get("other", 9, 0, 0).as_deref(), Some("kept"));
+        assert!(cache.get("m", 1, 0).is_none());
+        assert!(cache.get("m", 3, 0).is_none());
+        assert_eq!(cache.get("other", 9, 0).as_deref(), Some("kept"));
         assert!(cache.stats().invalidations >= 1);
         // cap == 0 disables: inserts drop, lookups miss.
         let off = IntervalCache::new(0);
-        off.insert("m", 1, 0, 0, "x");
-        assert!(off.get("m", 1, 0, 0).is_none());
+        off.insert("m", 1, 0, "x");
+        assert!(off.get("m", 1, 0).is_none());
         assert!(!off.enabled());
     }
 

@@ -9,7 +9,8 @@
 //! 3. JK-CV+ fit over a GBDT trainer (wall-clock seconds — the fold fits run
 //!    as one parallel batch),
 //! 4. batched PI serving through [`PiService::predict_interval_batch`]
-//!    (queries/s).
+//!    (queries/s), plus one row with no thread override
+//!    (`serving_default_qps`): the default path production serving takes.
 //!
 //! One run doubles as a determinism audit: every workload's *output* (matmul
 //! bits, MSCN predictions, the JK-CV+ δ, served intervals) is compared
@@ -88,7 +89,7 @@ pub fn perf(scale: &Scale) -> Vec<ExperimentRecord> {
         "perf",
         "parallel layer baseline: wall-clock at 1/2/4/8 threads, outputs bit-audited",
     );
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let hw = ce_parallel::available_threads();
     rec.extra("effective_parallelism", hw as f64);
 
     // --- 1. blocked matmul GFLOP/s -------------------------------------
@@ -195,6 +196,16 @@ pub fn perf(scale: &Scale) -> Vec<ExperimentRecord> {
         serving_qps.push((t, bench.test.x.len() as f64 / secs));
         rec.extra(&format!("serving_qps/t{t}"), bench.test.x.len() as f64 / secs);
     }
+    // The path production takes: no override, so every parallel call
+    // resolves the thread count itself.
+    let (ivs, secs) =
+        best_of("perf/serving_batch/default", 3, || service.predict_interval_batch(&bench.test.x));
+    assert_eq!(
+        serving_ref.as_ref(),
+        Some(&ivs),
+        "batched serving diverged with no thread override"
+    );
+    rec.extra("serving_default_qps", bench.test.x.len() as f64 / secs);
 
     // --- speedups + smoke gate -----------------------------------------
     let ratio = |series: &[(usize, f64)], num: usize, den: usize| {

@@ -69,8 +69,8 @@ pub enum CardEstError {
         tried: usize,
     },
     /// A score scheduled for eviction was not found in the calibration
-    /// multiset (it was perturbed between insert and remove beyond the
-    /// within-epsilon tolerance).
+    /// multiset. Evictions match exactly, so a score perturbed between
+    /// insert and remove by even one ulp is not found.
     ScoreNotFound {
         /// The score that could not be located.
         score: f64,

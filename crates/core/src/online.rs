@@ -36,14 +36,10 @@ impl SortedScores {
         self.values.insert(pos, v);
     }
 
-    /// Relative tolerance for evictions whose float was perturbed between
-    /// insert and remove (e.g. a lossy serialization round-trip).
-    const REMOVE_EPSILON: f64 = 1e-9;
-
-    /// Removes one copy of `v`, tolerating a within-epsilon perturbation.
-    /// A score that cannot be located even approximately is reported as
-    /// [`CardEstError::ScoreNotFound`] — the serve loop must degrade, never
-    /// abort.
+    /// Removes one copy of `v`, matched exactly: scores round-trip through
+    /// checkpoints bit for bit, so a miss means the multiset and the caller
+    /// disagree and is reported as [`CardEstError::ScoreNotFound`] — the
+    /// serve loop must degrade, never abort.
     fn remove(&mut self, v: f64) -> Result<(), CardEstError> {
         if !v.is_finite() {
             if self.n_nonfinite == 0 {
@@ -53,30 +49,11 @@ impl SortedScores {
             return Ok(());
         }
         let pos = self.values.partition_point(|&x| x < v);
-        if pos < self.values.len() && self.values[pos] == v {
-            self.values.remove(pos);
-            return Ok(());
+        if self.values.get(pos) != Some(&v) {
+            return Err(CardEstError::ScoreNotFound { score: v });
         }
-        // Exact miss: the nearest neighbours are at pos-1 (< v) and pos
-        // (> v). Evict the closer one if it sits within the tolerance.
-        let tolerance = Self::REMOVE_EPSILON * v.abs().max(1.0);
-        let mut best: Option<(usize, f64)> = None;
-        for candidate in [pos.checked_sub(1), (pos < self.values.len()).then_some(pos)]
-            .into_iter()
-            .flatten()
-        {
-            let gap = (self.values[candidate] - v).abs();
-            if gap <= tolerance && best.is_none_or(|(_, g)| gap < g) {
-                best = Some((candidate, gap));
-            }
-        }
-        match best {
-            Some((index, _)) => {
-                self.values.remove(index);
-                Ok(())
-            }
-            None => Err(CardEstError::ScoreNotFound { score: v }),
-        }
+        self.values.remove(pos);
+        Ok(())
     }
 
     fn len(&self) -> usize {
@@ -386,8 +363,8 @@ impl<M: Regressor, S: ScoreFunction> WindowedConformal<M, S> {
     /// Observes an executed query, evicting the oldest score when full.
     /// A non-finite score is recorded as `+∞` (and evicted like any other).
     ///
-    /// An eviction whose score cannot be located even within epsilon (a
-    /// float perturbed behind the predictor's back) is dropped and counted
+    /// An eviction whose score is not in the multiset (a float changed
+    /// behind the predictor's back) is dropped and counted
     /// under the `windowed.evict_miss` telemetry counter rather than
     /// aborting the serve loop.
     pub fn observe(&mut self, features: &[f32], y_true: f64) {
@@ -439,22 +416,25 @@ mod tests {
         assert_eq!(s.values, vec![1.0, 2.0, 3.0, 5.0]);
     }
 
-    /// Regression: a score perturbed by a few ulps between insert and remove
-    /// must still evict (within-epsilon lookup), and a genuinely absent
-    /// score must come back as a typed error, not a panic.
+    /// Evictions are exact: a score perturbed by a few ulps between insert
+    /// and remove, like a genuinely absent one, comes back as a typed error
+    /// (not a panic) and leaves the multiset untouched.
     #[test]
-    fn remove_tolerates_perturbed_floats_and_reports_missing() {
+    fn remove_is_exact_and_reports_missing() {
         use crate::error::CardEstError;
         let mut s = SortedScores::default();
         for v in [0.5, 1.0, 2.0] {
             s.insert(v);
         }
-        // Perturb within the relative tolerance: still removed.
         let perturbed = 1.0 + 1e-13;
-        assert_ne!(perturbed, 1.0_f64.to_bits() as f64); // not the stored value
-        s.remove(perturbed).unwrap();
+        assert_ne!(perturbed, 1.0);
+        assert_eq!(
+            s.remove(perturbed),
+            Err(CardEstError::ScoreNotFound { score: perturbed })
+        );
+        assert_eq!(s.values, vec![0.5, 1.0, 2.0]);
+        s.remove(1.0).unwrap();
         assert_eq!(s.values, vec![0.5, 2.0]);
-        // Far-off values are typed errors and leave the multiset untouched.
         assert_eq!(
             s.remove(1.5),
             Err(CardEstError::ScoreNotFound { score: 1.5 })

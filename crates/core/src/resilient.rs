@@ -371,7 +371,7 @@ fn run_guarded_batch(
 }
 
 /// Counters describing how a [`ResilientService`] has behaved so far.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
     /// Total `interval()` calls.
     pub queries: u64,
@@ -788,11 +788,14 @@ impl ResilientService {
         // everything the fast path did not answer. The guard applies inside
         // the closure exactly as on the serial path — its backoff jitter is
         // a pure function of (position, attempt), so outcomes stay
-        // bit-identical at any thread count.
+        // bit-identical at any thread count. When every query was either
+        // rejected by sanitization or answered by the fast path (the healthy
+        // common case), no closure calls a model, so they run inline on the
+        // caller instead of waking the pool.
         let admitted_ref = &admitted;
         let sanitized_ref = &sanitized;
         let fast_ref = &fast;
-        let outcomes = ce_parallel::par_map(queries.len(), 4, |qi| {
+        let walk = |qi: usize| {
             let features = &queries[qi];
             if let Some(e) = &sanitized_ref[qi] {
                 return BatchOutcome::Rejected(e.clone());
@@ -843,7 +846,13 @@ impl ResilientService {
                 }
             }
             BatchOutcome::Exhausted { failures }
-        });
+        };
+        let settled = (0..queries.len()).all(|qi| sanitized[qi].is_some() || fast[qi].is_some());
+        let outcomes: Vec<BatchOutcome> = if settled {
+            (0..queries.len()).map(walk).collect()
+        } else {
+            ce_parallel::par_map(queries.len(), 4, walk)
+        };
 
         // Phase 3 (serial, mutating): fold outcomes in query-index order.
         // The histogram handle is fetched once so the per-query cost while
@@ -1180,6 +1189,49 @@ mod tests {
         assert_eq!(batched.stats().queries, 64);
         assert_eq!(batched.stats().served_by[0], 64);
         assert_eq!(batched.stats().answer_rate(), 1.0);
+    }
+
+    /// A batch answers bit for bit what the per-query `interval` loop
+    /// answers, with the same stats, whether phase 2b runs inline (every
+    /// query answered by the fast path or rejected) or walks the chain on
+    /// the pool (some query failed over).
+    #[test]
+    fn batch_matches_the_per_query_loop_inline_and_on_the_pool() {
+        // The primary fails (NaN) on negative inputs; the fallback answers.
+        let chain = || {
+            let flaky = |f: &[f32]| if f[0] < 0.0 { f64::NAN } else { f[0] as f64 };
+            ResilientService::new(Box::new(calibrated(flaky)))
+                .with_fallback(Box::new(calibrated(healthy_model())))
+                .with_expected_dims(1)
+        };
+        let all_fast: Vec<Vec<f32>> = (0..16).map(|i| vec![i as f32 / 16.0]).collect();
+        // Every third query fails over, so the primary's breaker never
+        // reaches its threshold; one input is rejected.
+        let mut mixed: Vec<Vec<f32>> = (0..24)
+            .map(|i| vec![if i % 3 == 0 { -(i as f32 + 1.0) / 24.0 } else { i as f32 / 24.0 }])
+            .collect();
+        mixed[7] = vec![f32::NAN];
+        let all_rejected: Vec<Vec<f32>> =
+            vec![vec![f32::NAN], vec![0.5, 0.5], vec![], vec![f32::INFINITY]];
+        let bits = |r: &Result<PredictionInterval, CardEstError>| {
+            r.as_ref().map(|iv| (iv.lo.to_bits(), iv.hi.to_bits())).map_err(Clone::clone)
+        };
+        for (batch, served_by, rejected) in
+            [(&all_fast, [16, 0], 0), (&mixed, [15, 8], 1), (&all_rejected, [0, 0], 4)]
+        {
+            let mut serial = chain();
+            let expect: Vec<_> = batch.iter().map(|q| bits(&serial.interval(q))).collect();
+            assert_eq!(serial.stats().served_by, served_by);
+            assert_eq!(serial.stats().rejected_inputs, rejected);
+            for threads in [1, 4] {
+                let mut batched = chain();
+                let got = ce_parallel::with_threads(threads, || batched.predict_interval_batch(batch));
+                let got: Vec<_> = got.iter().map(bits).collect();
+                assert_eq!(got, expect, "threads={threads}");
+                assert_eq!(batched.stats(), serial.stats(), "threads={threads}");
+                assert_eq!(batched.last_errors(), serial.last_errors(), "threads={threads}");
+            }
+        }
     }
 
     #[test]

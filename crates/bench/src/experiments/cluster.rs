@@ -7,8 +7,8 @@
 //!
 //! 1. **It scales** — aggregate qps over the same client fleet rises
 //!    monotonically as the router fronts 1 → 2 → 4 shards. Each shard's
-//!    model is wrapped in a [`PacedModel`] that sleeps a fixed
-//!    [`PACE`] per prediction, so per-query service time is wall-clock
+//!    model is wrapped in a `PacedModel` that sleeps a fixed
+//!    `PACE` per prediction, so per-query service time is wall-clock
 //!    (like real inference or I/O) rather than host-CPU-bound — the
 //!    measurement exercises the *routing fan-out* and holds on a 1-core
 //!    runner, where raw CPU parallelism would show nothing.
@@ -158,15 +158,9 @@ fn start_shard(
 
 /// Shard HTTP tuning: enough workers to cover the router's pooled legs plus
 /// the prober's fresh connections (workers are parked threads, cheap on any
-/// core count), and a small read tick so drains finish in milliseconds.
+/// core count).
 fn shard_http_config() -> HttpServeConfig {
-    HttpServeConfig {
-        workers: 12,
-        conn_queue: 64,
-        queue_cap: 4096,
-        read_tick: Duration::from_millis(2),
-        ..Default::default()
-    }
+    HttpServeConfig { workers: 12, queue_cap: 4096, ..Default::default() }
 }
 
 /// Router tuning for the experiment: tight leg timeouts so black-holed
@@ -193,7 +187,6 @@ fn cluster_config() -> ClusterRouterConfig {
             recover_threshold: 2,
             ..HealthConfig::default()
         },
-        ..ClusterRouterConfig::default()
     }
 }
 

@@ -9,7 +9,7 @@
 //! 2. **Self-healing** — a prequential stream whose truths shift out of the
 //!    calibrated regime collapses rolling coverage, raises the monitor
 //!    alarm, and the layer recalibrates on fresh-regime scores: within
-//!    [`RECOVERY_BUDGET`] observations of drift onset the trailing-window
+//!    `RECOVERY_BUDGET` observations of drift onset the trailing-window
 //!    coverage re-enters the `1 − α − ε` band (the recovery curve is
 //!    recorded alongside the gates).
 //! 3. **Durable** — the mid-drift service checkpoints to disk, is

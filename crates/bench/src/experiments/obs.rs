@@ -9,14 +9,15 @@
 //!    observes, it never participates (DESIGN.md §5b).
 //! 2. **Cheap** — best-of-reps wall-clock of
 //!    [`PiService::predict_interval_batch`] with telemetry on vs off; the
-//!    measured overhead must stay under [`OVERHEAD_THRESHOLD_PCT`].
+//!    measured overhead must stay under `OVERHEAD_THRESHOLD_PCT`.
 //! 3. **Useful** — a drifting prequential workload (truths shifted far out of
-//!    the calibrated regime) trips the [`CoverageMonitor`] drift alarm within
-//!    one window, while the exchangeable phase leaves it silent, and the
+//!    the calibrated regime) trips the
+//!    [`CoverageMonitor`](cardest::conformal::CoverageMonitor) drift alarm
+//!    within one window, while the exchangeable phase leaves it silent, and the
 //!    registry's JSON/Prometheus exports carry the recorded spans.
 //! 4. **Traceable for free** — the distributed-tracing layer (DESIGN.md §13)
 //!    at its default 1-in-64 head sampling costs under
-//!    [`TRACING_OVERHEAD_THRESHOLD_PCT`] of serving throughput, and fig1/fig6
+//!    `TRACING_OVERHEAD_THRESHOLD_PCT` of serving throughput, and fig1/fig6
 //!    stay byte-identical even with every request traced (`--trace-sample 1`).
 //!
 //! The summary is exported to `BENCH_obs.json` in the working directory

@@ -203,7 +203,7 @@ impl Matrix {
     /// Matrix product `self * other`.
     ///
     /// Cache-blocked i-k-j kernel: each output row is swept once per
-    /// [`K_TILE`]-wide reduction tile, rows are dispatched in parallel, and
+    /// `K_TILE`-wide reduction tile, rows are dispatched in parallel, and
     /// every output element accumulates in fixed `k` order — so results are
     /// bit-identical at any thread count. No zero-skip: `0.0 * NaN` must
     /// yield `NaN` (IEEE 754), so non-finite weights surface instead of

@@ -342,14 +342,6 @@ struct ServeOptions {
     queue: usize,
     max_batch: usize,
     batch_window_us: u64,
-    /// Server read tick in milliseconds (HTTP mode): how fast drains and
-    /// shutdowns propagate in the tick-polled fallback. Cluster shards keep
-    /// this low so the router's health probes and drain turn around
-    /// promptly. Ignored in the (default) event-driven mode.
-    read_tick_ms: u64,
-    /// Readiness-loop poller threads (HTTP mode). 1 multiplexes thousands
-    /// of idle keep-alive connections; 0 forces the tick-polled fallback.
-    pollers: usize,
     /// Couple CoverageMonitor alarms to the Drifted-mode switch.
     alarm_coupled: bool,
     /// Trace head-sampling rate (HTTP mode): trace one request in N. 0
@@ -382,8 +374,8 @@ const SERVE_USAGE: &str = "usage: cardest-cli serve [--dataset dmv|census|forest
 [--rows N] [--queries N] [--stream N] [--checkpoint PATH] \
 [--checkpoint-every N] [--drift-at N] [--resume] [--listen ADDR] \
 [--workers N] [--queue N] [--max-batch N] [--batch-window-us N] \
-[--read-tick-ms N] [--pollers N] [--trace-sample N] [--alarm-coupled] \
-[--models a,b,...] [--tenant-rate R] [--tenant-burst B] [--cache-cap N]\n\n\
+[--trace-sample N] [--alarm-coupled] [--models a,b,...] \
+[--tenant-rate R] [--tenant-burst B] [--cache-cap N]\n\n\
 Runs the self-healing PI service with periodic durable checkpoints. \
 Without --listen: a prequential text loop whose truths shift by +0.5 from \
 --drift-at (default stream/2) onward so the drift alarm and shadow-validated \
@@ -419,8 +411,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
         // fast path plus busy-runner coalescing beat a fixed linger window
         // at every measured concurrency.
         batch_window_us: 0,
-        read_tick_ms: 10,
-        pollers: 1,
         alarm_coupled: false,
         trace_sample: ce_telemetry::trace::DEFAULT_SAMPLE_RATE,
         models: Vec::new(),
@@ -451,8 +441,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
             "--batch-window-us" => {
                 opts.batch_window_us = number("--batch-window-us", value(i)?)?
             }
-            "--read-tick-ms" => opts.read_tick_ms = number("--read-tick-ms", value(i)?)?,
-            "--pollers" => opts.pollers = number("--pollers", value(i)?)?,
             "--trace-sample" => opts.trace_sample = number("--trace-sample", value(i)?)?,
             "--models" => {
                 let raw = value(i)?;
@@ -504,9 +492,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
     }
     if opts.max_batch == 0 {
         return Err("--max-batch must be at least 1".to_string());
-    }
-    if opts.read_tick_ms == 0 {
-        return Err("--read-tick-ms must be at least 1".to_string());
     }
     if let Some(rate) = opts.tenant_rate {
         if !rate.is_finite() || rate <= 0.0 {
@@ -681,8 +666,9 @@ fn run_serve(args: &[String]) {
     print_remediation_text(&svc);
 }
 
-/// The HTTP serving mode: a multi-tenant [`ModelRegistry`] (DESIGN.md §15)
-/// whose `default` model is the resumed self-healing service behind a
+/// The HTTP serving mode: a multi-tenant
+/// [`ModelRegistry`](cardest::tenant::ModelRegistry) (DESIGN.md §15) whose
+/// `default` model is the resumed self-healing service behind a
 /// resilient AVI/sampling fallback chain, plus one independent engine per
 /// `--models` name (each with its own `{checkpoint}.{name}` file). Serves
 /// `POST /v1/predict[/{model}]`, `POST /v1/observe[/{model}]`, the hot
@@ -748,12 +734,9 @@ fn run_serve_http<M>(
     ce_telemetry::trace::set_sample_rate(opts.trace_sample);
     let http_config = HttpServeConfig {
         workers: opts.workers,
-        conn_queue: opts.queue.max(16),
         queue_cap: opts.queue,
         max_batch: opts.max_batch,
         batch_window: std::time::Duration::from_micros(opts.batch_window_us),
-        read_tick: std::time::Duration::from_millis(opts.read_tick_ms),
-        pollers: opts.pollers,
         ..HttpServeConfig::default()
     };
     let mut tuning = RegistryTuning::from_http(&http_config);
@@ -1158,7 +1141,6 @@ fn run_route(args: &[String]) {
             recover_threshold: opts.recover_threshold,
             ..cardest::server::HealthConfig::default()
         },
-        ..cardest::router::ClusterRouterConfig::default()
     };
     let handle = match cardest::router::start_cluster_router(&opts.shards, &opts.listen, config) {
         Ok(handle) => handle,
@@ -1561,6 +1543,11 @@ mod tests {
         assert!(err.contains("--nonsense"), "error names the flag: {err}");
         // A typo'd flag before valid ones must also fail, not be skipped.
         assert!(parse_serve_args(&argv(&["--steam", "500"])).is_err());
+        // Removed flags are rejected like any other unknown flag.
+        for removed in [["--read-tick-ms", "5"], ["--pollers", "1"]] {
+            let err = parse_serve_args(&argv(&removed)).unwrap_err();
+            assert!(err.contains(removed[0]), "error names the flag: {err}");
+        }
     }
 
     #[test]

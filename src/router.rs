@@ -68,11 +68,6 @@ use ce_telemetry::trace::{self, TraceId};
 pub struct ClusterRouterConfig {
     /// HTTP worker threads on the router's front server.
     pub workers: usize,
-    /// Bounded accepted-connection queue (overflow: raw 503).
-    pub conn_queue: usize,
-    /// Front-server read tick. Routers default low (5ms) so drains and
-    /// stop signals propagate promptly; see `ServerConfig::read_tick`.
-    pub read_tick: Duration,
     /// Virtual nodes per shard on the ring.
     pub vnodes: usize,
     /// Failover engine tuning (retry budget, deadline, leg timeouts).
@@ -85,8 +80,6 @@ impl Default for ClusterRouterConfig {
     fn default() -> Self {
         ClusterRouterConfig {
             workers: 4,
-            conn_queue: 64,
-            read_tick: Duration::from_millis(5),
             vnodes: 64,
             router: RouterConfig::default(),
             health: HealthConfig::default(),
@@ -206,12 +199,7 @@ pub fn start_cluster_router(
     };
     let server = HttpServer::bind(
         listen,
-        ServerConfig {
-            workers: config.workers,
-            conn_queue: config.conn_queue,
-            read_tick: config.read_tick,
-            ..ServerConfig::default()
-        },
+        ServerConfig { workers: config.workers, ..ServerConfig::default() },
         Arc::new(handler),
     )?;
     Ok(ClusterRouterHandle {
@@ -635,10 +623,7 @@ mod tests {
     fn stub_shard(tag: &'static str) -> HttpServer {
         HttpServer::bind(
             "127.0.0.1:0",
-            ServerConfig {
-                read_tick: Duration::from_millis(5),
-                ..ServerConfig::default()
-            },
+            ServerConfig::default(),
             Arc::new(move |req: &Request| match (req.method, req.path()) {
                 ("GET", "/readyz") => Response::text(200, "ready"),
                 ("POST", p) if p.starts_with("/v1/predict") => {
@@ -690,10 +675,7 @@ mod tests {
     ) -> HttpServer {
         HttpServer::bind(
             "127.0.0.1:0",
-            ServerConfig {
-                read_tick: Duration::from_millis(5),
-                ..ServerConfig::default()
-            },
+            ServerConfig::default(),
             Arc::new(move |req: &Request| match (req.method, req.path()) {
                 ("GET", "/readyz") => Response::text(200, "ready"),
                 ("POST", "/v1/predict") => {

@@ -2,9 +2,9 @@
 //! and the core's resilient, self-healing estimator chain (DESIGN.md §10).
 //!
 //! ```text
-//! accept loop ─▶ conn queue ─▶ worker pool ─▶ router ─▶ micro-batcher
-//!                                                           │ coalesced
-//!                                                           ▼
+//! acceptor ─▶ dispatch queue ─▶ worker pool ─▶ router ─▶ micro-batcher
+//! (max_conns)      ▲                 │ idle              │ coalesced
+//!                  └── poller ◀──────┘                   ▼
 //!                          ResilientService (breakers, fallbacks, floor)
 //!                                 └─ primary: SelfHealingService (RwLock)
 //! ```
@@ -382,8 +382,6 @@ where
 pub struct HttpServeConfig {
     /// HTTP worker threads.
     pub workers: usize,
-    /// Bounded accepted-connection queue (overflow: raw 503).
-    pub conn_queue: usize,
     /// Micro-batcher admission queue capacity in queries (overflow: JSON
     /// 503 + `Retry-After`).
     pub queue_cap: usize,
@@ -396,20 +394,8 @@ pub struct HttpServeConfig {
     /// sweep (500µs, 100µs, 0) showed no throughput gain from lingering,
     /// only added per-request latency at low concurrency.
     pub batch_window: Duration,
-    /// Server read tick — only meaningful in the tick-polled fallback mode,
-    /// where it quantizes shutdown/drain responsiveness (see
-    /// `ce_server::ServerConfig::read_tick`). The event-driven mode reacts
-    /// to readiness and deadlines exactly and ignores this.
-    pub read_tick: Duration,
-    /// Readiness-loop poller threads multiplexing idle keep-alive
-    /// connections (see `ce_server::ServerConfig::pollers`). 1 is plenty
-    /// for thousands of connections; 0 forces the tick-polled fallback.
-    pub pollers: usize,
-    /// Event-driven connection handling (readiness loop). Disable to force
-    /// the portable tick-polled fallback.
-    pub event_driven: bool,
-    /// Maximum concurrently open connections in event mode (overflow is
-    /// shed with a raw 503 at accept).
+    /// Maximum concurrently open connections (overflow is shed with a raw
+    /// 503 at accept).
     pub max_conns: usize,
 }
 
@@ -417,13 +403,9 @@ impl Default for HttpServeConfig {
     fn default() -> Self {
         HttpServeConfig {
             workers: 4,
-            conn_queue: 64,
             queue_cap: 1024,
             max_batch: 64,
             batch_window: Duration::ZERO,
-            read_tick: Duration::from_millis(10),
-            pollers: 1,
-            event_driven: true,
             max_conns: 4096,
         }
     }
@@ -533,9 +515,14 @@ pub fn value_to_f64(value: &serde_json::Value) -> Result<f64, String> {
     }
 }
 
+/// `s` as a quoted JSON string literal, escaped by the vendored writer:
+/// quotes, backslashes and every control character below 0x20.
+pub(crate) fn json_str(s: &str) -> String {
+    serde_json::to_string(s).expect("a string always serializes")
+}
+
 pub(crate) fn json_error(status: u16, message: &str) -> Response {
-    let escaped = message.replace('\\', "\\\\").replace('"', "\\\"");
-    Response::json(status, format!("{{\"error\":\"{escaped}\"}}"))
+    Response::json(status, format!("{{\"error\":{}}}", json_str(message)))
 }
 
 /// Mirrors the server's connection/poller counters into the telemetry
@@ -647,10 +634,9 @@ pub(crate) fn render_predict_body(
                 body.push('}');
             }
             Err(e) => {
-                let msg = e.to_string().replace('\\', "\\\\").replace('"', "\\\"");
-                body.push_str("{\"error\":\"");
-                body.push_str(&msg);
-                body.push_str("\"}");
+                body.push_str("{\"error\":");
+                body.push_str(&json_str(&e.to_string()));
+                body.push('}');
             }
         }
     }

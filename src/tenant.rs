@@ -52,8 +52,8 @@ use crate::conformal::{
     ScoreFunction,
 };
 use crate::serve::{
-    json_error, parse_predict_body, parse_truth_id, publish_server_stats, render_predict_body,
-    BatchResults, BatchStamp, HttpServeConfig, ServeEngine, ServeHandle,
+    json_error, json_str, parse_predict_body, parse_truth_id, publish_server_stats,
+    render_predict_body, BatchResults, BatchStamp, HttpServeConfig, ServeEngine, ServeHandle,
 };
 use ce_server::{
     fnv1a64, Admission, BatchError, BatcherConfig, BatcherStats, HttpServer, MicroBatcher,
@@ -411,12 +411,11 @@ pub struct ReloadReport {
 impl ReloadReport {
     /// The report as a JSON object (the admin endpoint's response body).
     pub fn to_json(&self) -> String {
-        let escaped = self.model.replace('\\', "\\\\").replace('"', "\\\"");
         format!(
-            "{{\"model\":\"{}\",\"promoted\":{},\"validated\":{},\"replay\":{},\
+            "{{\"model\":{},\"promoted\":{},\"validated\":{},\"replay\":{},\
              \"shadow_coverage\":{},\"coverage_floor\":{},\"width_ratio\":{},\
              \"width_ceiling\":{}}}",
-            escaped,
+            json_str(&self.model),
             self.promoted,
             self.validated,
             self.replay_len,
@@ -703,10 +702,6 @@ where
         listen,
         ServerConfig {
             workers: config.workers,
-            conn_queue: config.conn_queue,
-            read_tick: config.read_tick,
-            pollers: config.pollers,
-            event_driven: config.event_driven,
             max_conns: config.max_conns,
             ..ServerConfig::default()
         },
@@ -723,8 +718,7 @@ fn model_suffix<'p>(path: &'p str, prefix: &str) -> Option<&'p str> {
 }
 
 fn unknown_model(name: &str) -> Response {
-    let escaped = name.replace('\\', "\\\\").replace('"', "\\\"");
-    Response::json(404, format!("{{\"error\":\"no such model\",\"model\":\"{escaped}\"}}"))
+    Response::json(404, format!("{{\"error\":\"no such model\",\"model\":{}}}", json_str(name)))
 }
 
 fn route_registry<M, S>(
@@ -800,10 +794,9 @@ where
             Admission::Allowed => {}
             Admission::Limited { retry_after_secs } => {
                 ce_telemetry::counter("tenant.rate_limited").inc();
-                let escaped = tenant.replace('\\', "\\\\").replace('"', "\\\"");
                 return Response::json(
                     429,
-                    format!("{{\"error\":\"rate limited\",\"tenant\":\"{escaped}\"}}"),
+                    format!("{{\"error\":\"rate limited\",\"tenant\":{}}}", json_str(tenant)),
                 )
                 .header("Retry-After", &retry_after_secs.to_string());
             }
@@ -1235,6 +1228,29 @@ mod tests {
         for path in ["/healthz", "/readyz", "/metrics", "/debug/trace"] {
             assert_eq!(post(&registry, path, &[], b"").status, 405, "POST {path}");
         }
+        registry.shutdown_batchers();
+    }
+
+    #[test]
+    fn error_bodies_escape_control_characters() {
+        let registry: ModelRegistry<Model, AbsoluteResidual> = ModelRegistry::new(tuning());
+        registry.register(DEFAULT_MODEL, engine());
+        // The JSON escape `\n` decodes to a raw newline inside the feature
+        // string, and the 422 message quotes that string back.
+        let resp = post(&registry, "/v1/predict", &[], br#"{"features":[["a\nb"]]}"#);
+        assert_eq!(resp.status, 422);
+        // The vendored parser accepts raw control characters, so parsing
+        // alone would not catch them: check the bytes.
+        assert!(
+            resp.body.iter().all(|&b| b >= 0x20),
+            "raw control byte in {:?}",
+            String::from_utf8_lossy(&resp.body)
+        );
+        let parsed = serde_json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let serde_json::Value::Str(error) = parsed.field("error").unwrap() else {
+            panic!("`error` is not a string: {parsed:?}");
+        };
+        assert!(error.contains("a\nb"), "{error:?}");
         registry.shutdown_batchers();
     }
 

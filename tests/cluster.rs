@@ -224,7 +224,7 @@ proptest! {
 fn echo_shard(tag: &'static str) -> HttpServer {
     HttpServer::bind(
         "127.0.0.1:0",
-        ServerConfig { read_tick: Duration::from_millis(2), ..ServerConfig::default() },
+        ServerConfig::default(),
         Arc::new(move |req: &Request| match (req.method, req.path()) {
             ("GET", "/readyz") => Response::text(200, "ready"),
             ("POST", "/v1/predict") => {
@@ -470,7 +470,7 @@ fn dribble_shard() -> (std::net::SocketAddr, Arc<std::sync::atomic::AtomicBool>)
 fn metric_shard(marker: &'static str) -> HttpServer {
     HttpServer::bind(
         "127.0.0.1:0",
-        ServerConfig { read_tick: Duration::from_millis(2), ..ServerConfig::default() },
+        ServerConfig::default(),
         Arc::new(move |req: &Request| match (req.method, req.path()) {
             ("GET", "/readyz") => Response::text(200, "ready"),
             ("GET", "/metrics") => Response::text(200, marker),

@@ -320,14 +320,10 @@ fn stress_server(read_timeout: Duration) -> HttpServer {
 /// every connection stays open and parked between requests, sampled
 /// connections can still issue a second request (dispatched by the poller,
 /// not a per-connection thread), and the whole fleet fits in
-/// `workers + pollers + 1` server threads.
+/// `workers + 2` server threads (the workers, the poller, the acceptor).
 #[test]
 fn one_poller_parks_a_thousand_idle_keepalive_connections() {
     let server = stress_server(Duration::from_secs(30));
-    if !server.event_driven() {
-        eprintln!("skipping: event mode unsupported on this platform");
-        return;
-    }
     let addr = server.local_addr();
     let mut clients = Vec::with_capacity(1000);
     for i in 0..1000 {

@@ -15,10 +15,14 @@
 //! One run doubles as a determinism audit: every workload's *output* (matmul
 //! bits, MSCN predictions, the JK-CV+ δ, served intervals) is compared
 //! bit-for-bit across thread counts and the experiment panics on any
-//! divergence. Wall times flow through the vendored criterion sample
-//! registry (`criterion::record_sample`) — the same path `cargo bench`
-//! uses — and the summary is exported to `BENCH_perf.json` in the working
-//! directory alongside the usual `results/perf.json` record.
+//! divergence. Before the timings, the three mat-mul entry points at the
+//! kernel level this host dispatches to are compared bit-for-bit with a
+//! naive loop on the MSCN layer shapes; the summary records that level
+//! (`kernel_level`) and the verdict (`kernel_matches_reference`). Wall
+//! times flow through the vendored criterion sample registry
+//! (`criterion::record_sample`) — the same path `cargo bench` uses — and
+//! the summary is exported to `BENCH_perf.json` in the working directory
+//! alongside the usual `results/perf.json` record.
 //!
 //! On a single-core host the thread counts ≥ 2 measure pure overhead (the
 //! pool degrades to serial chunk draining), so throughput parity — not a
@@ -83,6 +87,46 @@ fn lcg_matrix(rows: usize, cols: usize, seed: u32) -> Matrix {
     Matrix::from_rows(&data)
 }
 
+/// Naive `a · b` as bit patterns: every element summed from `+0.0` over `k`
+/// in increasing order, a separate multiply and add per step.
+fn naive_product_bits(a: &Matrix, b: &Matrix) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.rows() * b.cols());
+    for i in 0..a.rows() {
+        for j in 0..b.cols() {
+            let mut acc = 0.0f32;
+            for k in 0..a.cols() {
+                acc += a.get(i, k) * b.get(k, j);
+            }
+            out.push(acc.to_bits());
+        }
+    }
+    out
+}
+
+/// Whether the dispatched `matmul`, `t_matmul` and `matmul_t` all equal the
+/// naive loop bit for bit on the MSCN layer shapes: reduction widths 14, 64
+/// and 65, output widths 1 and 64, and 1, 8, 22 and 256 rows. The unit
+/// tests check every level too, but only this check runs the release build.
+fn kernel_matches_reference() -> bool {
+    let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut seed = 10;
+    let mut all_match = true;
+    for k in [14, 64, 65] {
+        for n in [1, 64] {
+            for m in [1, 8, 22, 256] {
+                seed += 2;
+                let a = lcg_matrix(m, k, seed);
+                let b = lcg_matrix(k, n, seed + 1);
+                let want = naive_product_bits(&a, &b);
+                all_match &= bits(&a.matmul(&b)) == want
+                    && bits(&a.transpose().t_matmul(&b)) == want
+                    && bits(&a.matmul_t(&b.transpose())) == want;
+            }
+        }
+    }
+    all_match
+}
+
 /// Runs the perf baseline; see the module docs for what is measured.
 pub fn perf(scale: &Scale) -> Vec<ExperimentRecord> {
     let mut rec = ExperimentRecord::new(
@@ -91,6 +135,11 @@ pub fn perf(scale: &Scale) -> Vec<ExperimentRecord> {
     );
     let hw = ce_parallel::available_threads();
     rec.extra("effective_parallelism", hw as f64);
+
+    // --- 0. kernel audit ------------------------------------------------
+    let kernel_level = cardest::nn::matmul_kernel_level();
+    let kernel_ok = kernel_matches_reference();
+    assert!(kernel_ok, "the {kernel_level} mat-mul kernel diverged from the naive loop");
 
     // --- 1. blocked matmul GFLOP/s -------------------------------------
     let (m, k, n) = (96, 256, 96);
@@ -225,16 +274,24 @@ pub fn perf(scale: &Scale) -> Vec<ExperimentRecord> {
          (floor {MIN_SERVING_RATIO})"
     );
 
-    write_bench_summary(scale, hw, &rec);
+    write_bench_summary(scale, hw, kernel_level, kernel_ok, &rec);
     vec![rec]
 }
 
 /// Writes `BENCH_perf.json` in the working directory: the scalar summary
 /// plus the raw nanosecond samples from the criterion registry.
-fn write_bench_summary(scale: &Scale, hw: usize, rec: &ExperimentRecord) {
+fn write_bench_summary(
+    scale: &Scale,
+    hw: usize,
+    kernel_level: &str,
+    kernel_ok: bool,
+    rec: &ExperimentRecord,
+) {
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"setting_rows\": {},\n", scale.rows));
     json.push_str(&format!("  \"effective_parallelism\": {hw},\n"));
+    json.push_str(&format!("  \"kernel_level\": \"{kernel_level}\",\n"));
+    json.push_str(&format!("  \"kernel_matches_reference\": {kernel_ok},\n"));
     json.push_str("  \"threads\": [1, 2, 4, 8],\n");
     json.push_str("  \"bit_identical_across_threads\": true,\n");
     json.push_str("  \"metrics\": {\n");

@@ -11,7 +11,7 @@
 
 use ce_conformal::Regressor;
 use ce_nn::{
-    segment_mean, segment_mean_backward, AdamConfig, Loss, Matrix, Mlp, MlpConfig, Mse,
+    segment_mean_backward, segment_mean_into, AdamConfig, Loss, Matrix, Mlp, MlpConfig, Mse,
     Pinball,
 };
 use rand::rngs::StdRng;
@@ -101,40 +101,42 @@ impl MscnLayout {
         }
     }
 
-    /// Extracts `(predicate_features, context)` from one canonical encoding.
-    fn extract(&self, features: &[f32]) -> (Vec<Vec<f32>>, Vec<f32>) {
-        let n_cols = self.n_columns();
-        let pred_width = n_cols + 3;
+    /// Calls `f(column, [is_point, lo, hi])` for each predicate of one
+    /// canonical encoding, in column order.
+    fn for_each_predicate(&self, features: &[f32], mut f: impl FnMut(usize, &[f32])) {
         match self {
-            MscnLayout::Single(f) => {
-                assert_eq!(features.len(), f.width(), "feature width mismatch");
-                let mut preds = Vec::new();
-                for c in 0..f.schema().arity() {
-                    let block = &features[c * BLOCK..(c + 1) * BLOCK];
+            MscnLayout::Single(t) => {
+                assert_eq!(features.len(), t.width(), "feature width mismatch");
+                for (c, block) in features.chunks_exact(BLOCK).enumerate() {
                     if block[0] < 0.5 {
                         continue;
                     }
-                    let mut pf = vec![0.0f32; pred_width];
-                    pf[c] = 1.0;
-                    pf[n_cols..].copy_from_slice(&block[1..]);
-                    preds.push(pf);
+                    f(c, &block[1..]);
                 }
-                let count = preds.len() as f32 / f.schema().arity() as f32;
-                (preds, vec![count])
             }
-            MscnLayout::Star(f) => {
-                assert_eq!(features.len(), f.width(), "feature width mismatch");
-                let preds = f
-                    .predicate_blocks(features)
-                    .map(|(g, block)| {
-                        let mut pf = vec![0.0f32; pred_width];
-                        pf[g] = 1.0;
-                        pf[n_cols..].copy_from_slice(&block[1..]);
-                        pf
-                    })
-                    .collect();
-                (preds, f.join_flags(features).to_vec())
+            MscnLayout::Star(t) => {
+                assert_eq!(features.len(), t.width(), "feature width mismatch");
+                for (g, block) in t.predicate_blocks(features) {
+                    f(g, &block[1..]);
+                }
             }
+        }
+    }
+
+    /// Number of predicates in one canonical encoding.
+    fn predicate_count(&self, features: &[f32]) -> usize {
+        let mut count = 0;
+        self.for_each_predicate(features, |_, _| count += 1);
+        count
+    }
+
+    /// Writes the context vector of one canonical encoding with
+    /// `predicates` predicates: the predicate share of the schema (single
+    /// table) or the join flags (star).
+    fn write_context(&self, features: &[f32], predicates: usize, out: &mut [f32]) {
+        match self {
+            MscnLayout::Single(t) => out[0] = predicates as f32 / t.schema().arity() as f32,
+            MscnLayout::Star(t) => out.copy_from_slice(t.join_flags(features)),
         }
     }
 }
@@ -227,34 +229,13 @@ impl Mscn {
         batch: &[usize],
         loss: TrainLoss,
     ) -> f32 {
-        // Assemble the predicate set matrix + segments + context matrix.
-        let mut pred_rows: Vec<Vec<f32>> = Vec::new();
-        let mut segments = Vec::with_capacity(batch.len());
-        let mut context_rows = Vec::with_capacity(batch.len());
-        for &i in batch {
-            let (preds, ctx) = self.layout.extract(&features[i]);
-            segments.push(preds.len());
-            pred_rows.extend(preds);
-            context_rows.push(ctx);
-        }
-        let pred_width = self.layout.n_columns() + 3;
-        let pred_matrix = if pred_rows.is_empty() {
-            Matrix::zeros(0, pred_width)
-        } else {
-            Matrix::from_rows(&pred_rows)
-        };
+        let queries = || batch.iter().map(|&i| features[i].as_slice());
+        let segments: Vec<usize> = queries().map(|q| self.layout.predicate_count(q)).collect();
+        let (pred_matrix, mut top_in) = self.pack(queries(), &segments);
 
-        // Forward: predicate module -> pool -> concat context -> top.
+        // Forward: predicate module -> pool -> (with context) top.
         let (pred_hidden, pred_cache) = self.pred_mlp.forward(&pred_matrix);
-        let pooled = segment_mean(&pred_hidden, &segments);
-        let top_in_rows: Vec<Vec<f32>> = (0..batch.len())
-            .map(|q| {
-                let mut row = pooled.row(q).to_vec();
-                row.extend_from_slice(&context_rows[q]);
-                row
-            })
-            .collect();
-        let top_in = Matrix::from_rows(&top_in_rows);
+        segment_mean_into(&pred_hidden, &segments, &mut top_in);
         let (out, top_cache) = self.top_mlp.forward(&top_in);
 
         // Loss gradient on log-selectivity.
@@ -273,10 +254,14 @@ impl Mscn {
         // Backward through top, split pooled gradient, through predicates.
         let grad_top_in =
             self.top_mlp.backward(&top_cache, &Matrix::column_vector(&grad));
-        let pooled_grad_rows: Vec<Vec<f32>> = (0..batch.len())
-            .map(|q| grad_top_in.row(q)[..self.hidden].to_vec())
-            .collect();
-        let pooled_grad = Matrix::from_rows(&pooled_grad_rows);
+        let pooled_grad = Matrix::from_vec(
+            batch.len(),
+            self.hidden,
+            (0..batch.len())
+                .flat_map(|q| &grad_top_in.row(q)[..self.hidden])
+                .copied()
+                .collect(),
+        );
         let pred_grad = segment_mean_backward(&pooled_grad, &segments);
         if pred_grad.rows() > 0 {
             self.pred_mlp.backward(&pred_cache, &pred_grad);
@@ -284,20 +269,49 @@ impl Mscn {
         value
     }
 
+    /// Packs encoded queries for the forward pass, given each one's
+    /// predicate count in `segments`. Returns every predicate row
+    /// (`[column one-hot, is_point, lo, hi]`) in one flat matrix, and the
+    /// top-network input with each query's context already in the tail of
+    /// its row; the pooled head of each row is left for the forward pass.
+    fn pack<'q>(
+        &self,
+        queries: impl Iterator<Item = &'q [f32]>,
+        segments: &[usize],
+    ) -> (Matrix, Matrix) {
+        let n_cols = self.layout.n_columns();
+        let mut preds = Matrix::zeros(segments.iter().sum(), n_cols + 3);
+        let mut top_in = Matrix::zeros(segments.len(), self.top_mlp.input_dim());
+        let mut row = 0;
+        for ((q, features), &count) in queries.enumerate().zip(segments) {
+            self.layout.for_each_predicate(features, |column, block| {
+                let dst = preds.row_mut(row);
+                dst[column] = 1.0;
+                dst[n_cols..].copy_from_slice(block);
+                row += 1;
+            });
+            self.layout.write_context(features, count, &mut top_in.row_mut(q)[self.hidden..]);
+        }
+        (preds, top_in)
+    }
+
+    /// The inference forward over packed queries: predicate module, segment
+    /// mean into the head of each `top_in` row, top network. Returns the
+    /// `queries × 1` log-selectivities. The two networks share one pair of
+    /// activation buffers.
+    fn forward(&self, preds: &Matrix, segments: &[usize], top_in: &mut Matrix) -> Matrix {
+        let (mut out, mut scratch) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        self.pred_mlp.infer_into(preds, &mut out, &mut scratch);
+        segment_mean_into(&out, segments, top_in);
+        self.top_mlp.infer_into(top_in, &mut out, &mut scratch);
+        out
+    }
+
     /// Predicted log-selectivity for one encoded query.
     pub fn predict_log_selectivity(&self, features: &[f32]) -> f64 {
-        let (preds, ctx) = self.layout.extract(features);
-        let pred_width = self.layout.n_columns() + 3;
-        let pred_matrix = if preds.is_empty() {
-            Matrix::zeros(0, pred_width)
-        } else {
-            Matrix::from_rows(&preds)
-        };
-        let hidden = self.pred_mlp.infer(&pred_matrix);
-        let pooled = segment_mean(&hidden, &[preds.len()]);
-        let mut top_row = pooled.row(0).to_vec();
-        top_row.extend_from_slice(&ctx);
-        self.top_mlp.predict_one(&top_row) as f64
+        let segments = [self.layout.predicate_count(features)];
+        let (preds, mut top_in) = self.pack(std::iter::once(features), &segments);
+        f64::from(self.forward(&preds, &segments, &mut top_in).data()[0])
     }
 
     /// Predicted selectivity, clamped to `[sel_floor, 1]`.
@@ -306,9 +320,10 @@ impl Mscn {
     }
 
     /// Predicted log-selectivities for a whole batch of encoded queries in
-    /// one pass: every query's predicate rows are packed into a single
-    /// matrix, run through the predicate module once, segment-pooled, and
-    /// the pooled+context rows go through the top network as one matrix.
+    /// one pass: every query's predicate rows are packed into a single flat
+    /// matrix and run through the predicate module once, then
+    /// segment-pooled straight into the top network's input rows (which
+    /// already carry each query's context) for one top-network pass.
     ///
     /// Output `i` is bit-identical to `predict_log_selectivity(&queries[i])`
     /// — matmul rows and segment means accumulate independently per query —
@@ -319,32 +334,11 @@ impl Mscn {
         if queries.is_empty() {
             return Vec::new();
         }
-        let pred_width = self.layout.n_columns() + 3;
-        let mut pred_rows: Vec<Vec<f32>> = Vec::new();
-        let mut segments = Vec::with_capacity(queries.len());
-        let mut context_rows = Vec::with_capacity(queries.len());
-        for q in queries {
-            let (preds, ctx) = self.layout.extract(q);
-            segments.push(preds.len());
-            pred_rows.extend(preds);
-            context_rows.push(ctx);
-        }
-        let pred_matrix = if pred_rows.is_empty() {
-            Matrix::zeros(0, pred_width)
-        } else {
-            Matrix::from_rows(&pred_rows)
-        };
-        let hidden = self.pred_mlp.infer(&pred_matrix);
-        let pooled = segment_mean(&hidden, &segments);
-        let top_rows: Vec<Vec<f32>> = (0..queries.len())
-            .map(|q| {
-                let mut row = pooled.row(q).to_vec();
-                row.extend_from_slice(&context_rows[q]);
-                row
-            })
-            .collect();
-        let out = self.top_mlp.predict_scalar(&Matrix::from_rows(&top_rows));
-        out.into_iter().map(f64::from).collect()
+        let segments: Vec<usize> =
+            queries.iter().map(|q| self.layout.predicate_count(q)).collect();
+        let (preds, mut top_in) = self.pack(queries.iter().map(Vec::as_slice), &segments);
+        let out = self.forward(&preds, &segments, &mut top_in);
+        out.data().iter().copied().map(f64::from).collect()
     }
 
     /// Batched [`Mscn::predict_selectivity`]; see
@@ -509,5 +503,34 @@ mod tests {
             );
         }
         assert!(model.predict_selectivity_batch(&[]).is_empty());
+    }
+
+    #[test]
+    fn star_batched_prediction_is_bit_identical_to_per_query() {
+        use ce_datagen::dsb_star;
+        use ce_query::{generate_join_workload, random_templates, JoinGeneratorConfig};
+
+        let star = dsb_star(400, 0);
+        let feat = StarFeaturizer::new(&star);
+        let templates = random_templates(&star, 6, 1);
+        let w = generate_join_workload(&star, &templates, 12, &JoinGeneratorConfig::default(), 2);
+        let x: Vec<Vec<f32>> = w.iter().map(|lq| feat.encode(&lq.query)).collect();
+        let y: Vec<f64> = w.iter().map(|lq| lq.selectivity).collect();
+        let model = Mscn::fit(
+            MscnLayout::Star(feat),
+            &x,
+            &y,
+            &MscnConfig { epochs: 5, ..Default::default() },
+        );
+        let batch = model.predict_log_selectivity_batch(&x);
+        assert_eq!(batch.len(), x.len());
+        for (f, &b) in x.iter().zip(&batch) {
+            let single = model.predict_log_selectivity(f);
+            assert_eq!(
+                single.to_bits(),
+                b.to_bits(),
+                "batched star forward diverged from per-query: {single} vs {b}"
+            );
+        }
     }
 }

@@ -120,10 +120,17 @@ impl Dense {
 
     /// Forward pass without caching (inference).
     pub fn infer(&self, input: &Matrix) -> Matrix {
-        let mut out = input.matmul(&self.weights);
-        out.add_row_broadcast(&self.bias);
-        self.activation.forward(&mut out);
+        let mut out = Matrix::zeros(0, 0);
+        self.infer_into(input, &mut out);
         out
+    }
+
+    /// [`Dense::infer`] written into `out`, which is reshaped and keeps its
+    /// allocation when it is large enough.
+    pub(crate) fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
+        input.matmul_into(&self.weights, out);
+        out.add_row_broadcast(&self.bias);
+        self.activation.forward(out);
     }
 
     /// Backward pass: consumes `grad_output` (dL/dy), updates parameters with

@@ -5,12 +5,13 @@
 //! updates, segment pooling for set-structured (MSCN-style) inputs, and a
 //! softmax/cross-entropy head for autoregressive (Naru-style) conditionals.
 //!
-//! Everything is CPU-only and `f32`. The mat-mul kernels are cache-blocked
-//! and dispatched row-parallel on the `ce-parallel` pool, under a strict
-//! **determinism contract**: the same seed produces bit-identical weights
-//! and predictions at *any* thread count, because every floating-point
-//! reduction keeps a single accumulator in fixed index order — parallelism
-//! only redistributes independent output elements across threads. Thread
+//! Everything is CPU-only and `f32`. The mat-mul kernel is register-blocked,
+//! SIMD at the best level the host supports, and dispatched row-parallel on
+//! the `ce-parallel` pool, under a strict **determinism contract**: the same
+//! seed produces bit-identical weights and predictions at *any* thread count
+//! and kernel level, because every floating-point reduction keeps a single
+//! accumulator in fixed index order, with no fused multiply-add — SIMD lanes
+//! and threads only redistribute independent output elements. Thread
 //! count is controlled globally via `ce_parallel::set_threads` / the
 //! `CE_PARALLEL_THREADS` env var, or scoped via `ce_parallel::with_threads`.
 //! See `DESIGN.md` ("Determinism contract") for the full argument.
@@ -45,7 +46,7 @@ pub use init::Init;
 pub use layer::{Activation, Dense, DenseCache};
 pub use loss::{Huber, LogQError, Loss, Mse, Pinball};
 pub use masked::{made_masks, MaskedCache, MaskedDense};
-pub use matrix::Matrix;
+pub use matrix::{matmul_kernel_level, Matrix};
 pub use mlp::{Mlp, MlpCache, MlpConfig};
-pub use pooling::{segment_mean, segment_mean_backward};
+pub use pooling::{segment_mean_backward, segment_mean_into};
 pub use softmax::{class_probability, softmax_cross_entropy, softmax_rows};

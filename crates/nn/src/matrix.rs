@@ -2,95 +2,234 @@
 //!
 //! This is deliberately a small, predictable kernel: everything the learned
 //! estimators need (mat-mul, transposed mat-mul, row slicing, elementwise
-//! combinators) and nothing else. The three mat-mul entry points are
-//! cache-blocked, unrolled, and dispatched row-parallel on `ce-parallel`.
+//! combinators) and nothing else. The three mat-mul entry points share one
+//! register-blocked micro-kernel: it keeps a block of output rows × a
+//! 16-wide column strip in registers over the whole reduction. Its one
+//! source is compiled for AVX-512, AVX2 and the build target's baseline; the
+//! level is picked once per process from the host's features, and blocks of
+//! output rows are dispatched in parallel on `ce-parallel`. `t_matmul` and
+//! `matmul_t` transpose their strided operand once and then run the same
+//! kernel.
 //!
 //! # Determinism
 //!
-//! Every output element accumulates its products over the reduction
-//! dimension in strictly increasing index order, with a single accumulator —
-//! blocking and unrolling only regroup *independent* output elements, never
-//! reassociate floating-point sums. Results are therefore bit-identical at
-//! any thread count (see `DESIGN.md`, "Determinism contract").
+//! Every output element starts from `+0.0` and adds its products over the
+//! reduction dimension in strictly increasing index order, into a single
+//! accumulator, with a separate multiply and add (no fused multiply-add).
+//! The register block and the SIMD width only regroup *independent* output
+//! elements, never reassociate a sum. Results are therefore bit-identical at
+//! any thread count and at every kernel level (see `DESIGN.md`,
+//! "Determinism contract").
+
+use std::sync::OnceLock;
 
 use ce_parallel::par_chunks_mut;
 
-/// Reduction-dimension tile: four scalar/row pairs at a time over tiles of
-/// this many `k` steps, so the touched rows of the right operand stay hot in
-/// cache while the output row stays in registers.
-const K_TILE: usize = 128;
-
-/// Mul-adds per parallel task, sized to amortize dispatch overhead.
-const TASK_FLOPS: usize = 1 << 16;
+/// Mul-adds per parallel task. On a 2-vCPU AVX-512 host the kernel runs
+/// 18–33 mul-adds per ns, so a task takes 8–14 µs: five times or more the
+/// 1.3–1.7 µs the pool needs to hand a task to a worker. An 8-query MSCN
+/// forward (its largest layer 22 × 64 × 64 = 90k) then runs inline on the
+/// caller, and only training- and bulk-sized products are split.
+const TASK_FLOPS: usize = 1 << 18;
 
 /// Smallest product (in flops, `2·m·k·n`) whose throughput is published to
-/// the `nn.matmul_gflops` telemetry gauge. Serving-path products (one row
-/// through a small layer, ~8k flops) stay below this floor so enabling
-/// telemetry adds no clock reads to the batched serving path.
+/// the `nn.matmul_gflops` telemetry gauge while telemetry is enabled. The
+/// floor keeps single-row products untimed, but batched serving products
+/// clear it (an 8-query MSCN layer is 40k–180k flops), so each of those
+/// reads the clock twice and stores to the gauge through a handle fetched
+/// once per process: no lock and no allocation after the first.
 const MATMUL_GAUGE_MIN_FLOPS: f64 = 32_768.0;
+
+/// Output columns in one register strip: one AVX-512 vector, two AVX2
+/// vectors.
+const NR: usize = 16;
+
+/// Largest register block, in output rows; parallel tasks get a multiple
+/// of it so only the last task has a ragged block.
+const MR_MAX: usize = 8;
 
 /// Rows of output handled by one parallel task; pure shape arithmetic.
 fn rows_per_task(flops_per_row: usize) -> usize {
-    TASK_FLOPS.div_ceil(flops_per_row.max(1)).max(1)
+    TASK_FLOPS.div_ceil(flops_per_row.max(1)).next_multiple_of(MR_MAX)
 }
 
-/// `out[j] += Σ_k scalars[k] * b.row(k0 + k)[j]`, with `k` strictly
-/// increasing and one accumulator per output element (the `+`-chain below is
-/// left-associative, i.e. exactly the sequential order). The 4-way unroll
-/// spans the reduction dimension, so each pass reuses the output row from
-/// registers four times.
-#[inline]
-fn axpy_block(out: &mut [f32], scalars: &[f32], b: &Matrix, k0: usize) {
-    let n = out.len();
-    let mut quads = scalars.chunks_exact(4);
-    let mut k = k0;
-    for quad in quads.by_ref() {
-        let (b0, b1, b2, b3) =
-            (&b.row(k)[..n], &b.row(k + 1)[..n], &b.row(k + 2)[..n], &b.row(k + 3)[..n]);
-        for j in 0..n {
-            out[j] = out[j] + quad[0] * b0[j] + quad[1] * b1[j] + quad[2] * b2[j] + quad[3] * b3[j];
-        }
-        k += 4;
-    }
-    for &a in quads.remainder() {
-        let b_row = &b.row(k)[..n];
-        let mut out_c = out.chunks_exact_mut(8);
-        let mut b_c = b_row.chunks_exact(8);
-        for (o, bv) in out_c.by_ref().zip(b_c.by_ref()) {
-            for (ov, &be) in o.iter_mut().zip(bv) {
-                *ov += a * be;
+/// The `nn.matmul_gflops` gauge, fetched from the registry once. A later
+/// `Registry::reset` detaches the handle, so the gauge then stops exporting
+/// for the rest of the process.
+fn gflops_gauge() -> &'static ce_telemetry::Gauge {
+    static GAUGE: OnceLock<ce_telemetry::Gauge> = OnceLock::new();
+    GAUGE.get_or_init(|| ce_telemetry::gauge("nn.matmul_gflops"))
+}
+
+/// An instruction-set level the kernel is compiled for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Level {
+    /// 512-bit vectors, 8-row register blocks.
+    Avx512,
+    /// 256-bit vectors, 4-row register blocks.
+    Avx2,
+    /// The build target's baseline (SSE2 on x86-64), 2-row register blocks.
+    Baseline,
+}
+
+impl Level {
+    /// Every level, fastest first.
+    const ALL: [Level; 3] = [Level::Avx512, Level::Avx2, Level::Baseline];
+
+    /// Whether this host can run the level.
+    fn available(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            match self {
+                Level::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+                Level::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+                Level::Baseline => true,
             }
         }
-        for (ov, &be) in out_c.into_remainder().iter_mut().zip(b_c.remainder()) {
-            *ov += a * be;
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == Level::Baseline
         }
-        k += 1;
+    }
+
+    /// The fastest level this host runs, resolved once per process.
+    fn detected() -> Level {
+        static LEVEL: OnceLock<Level> = OnceLock::new();
+        *LEVEL.get_or_init(|| {
+            Level::ALL.into_iter().find(|level| level.available()).unwrap_or(Level::Baseline)
+        })
     }
 }
 
-/// Unrolled dot product with a single accumulator: the left-associative
-/// `+`-chain adds the eight products of each chunk in index order, so the
-/// result is bit-identical to the naive sequential loop.
-#[inline]
-fn dot(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
-    let mut a_c = a.chunks_exact(8);
-    let mut b_c = b.chunks_exact(8);
-    for (x, y) in a_c.by_ref().zip(b_c.by_ref()) {
-        acc = acc
-            + x[0] * y[0]
-            + x[1] * y[1]
-            + x[2] * y[2]
-            + x[3] * y[3]
-            + x[4] * y[4]
-            + x[5] * y[5]
-            + x[6] * y[6]
-            + x[7] * y[7];
+/// Name of the kernel level mat-muls run at on this host: `"avx512"`,
+/// `"avx2"` or `"baseline"`. Read-only: the level is detected, not chosen,
+/// and every level gives identical bits.
+pub fn matmul_kernel_level() -> &'static str {
+    match Level::detected() {
+        Level::Avx512 => "avx512",
+        Level::Avx2 => "avx2",
+        Level::Baseline => "baseline",
     }
-    for (&x, &y) in a_c.remainder().iter().zip(b_c.remainder()) {
-        acc += x * y;
+}
+
+/// `out = a · b` at `level`, for row-major `a` (`out.len() / n` rows × `k`)
+/// and `b` (`k × n`). Every element of `out` is overwritten.
+fn gemm_at(level: Level, a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    // A cached feature read, negligible next to a product; it keeps a level
+    // the host lacks from reaching the `unsafe` calls in a release build.
+    assert!(level.available(), "{level:?} is not available on this host");
+    match level {
+        // SAFETY: the assert above saw the feature on this host.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx512 => unsafe { gemm_avx512(a, k, b, n, out) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        Level::Avx2 => unsafe { gemm_avx2(a, k, b, n, out) },
+        _ => gemm::<2>(a, k, b, n, out),
     }
-    acc
+}
+
+/// [`gemm`] compiled for AVX-512.
+///
+/// # Safety
+/// Callable only where `is_x86_feature_detected!("avx512f")` holds.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_avx512(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    gemm::<8>(a, k, b, n, out);
+}
+
+/// [`gemm`] compiled for AVX2.
+///
+/// # Safety
+/// Callable only where `is_x86_feature_detected!("avx2")` holds.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    gemm::<4>(a, k, b, n, out);
+}
+
+/// The kernel's one source: the rows of `out` in register blocks of `MR`,
+/// then the fewer-than-`MR` left over in blocks of 4, 2 and 1. Always
+/// inlined, so each `#[target_feature]` caller compiles it for its level.
+#[inline(always)]
+fn gemm<const MR: usize>(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let rows = out.len() / n;
+    let mut i = 0;
+    while i + MR <= rows {
+        block::<MR>(&a[i * k..(i + MR) * k], k, b, n, &mut out[i * n..(i + MR) * n]);
+        i += MR;
+    }
+    if rows - i >= 4 {
+        block::<4>(&a[i * k..(i + 4) * k], k, b, n, &mut out[i * n..(i + 4) * n]);
+        i += 4;
+    }
+    if rows - i >= 2 {
+        block::<2>(&a[i * k..(i + 2) * k], k, b, n, &mut out[i * n..(i + 2) * n]);
+        i += 2;
+    }
+    if rows - i >= 1 {
+        block::<1>(&a[i * k..(i + 1) * k], k, b, n, &mut out[i * n..(i + 1) * n]);
+    }
+}
+
+/// One register block: `MR` rows of `out`, in strips of `NR` columns, then
+/// the fewer-than-`NR` left over in strips of 8, 4, 2 and 1.
+#[inline(always)]
+fn block<const MR: usize>(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    let mut rows = a.chunks_exact(k);
+    let a_rows: [&[f32]; MR] = std::array::from_fn(|_| rows.next().expect("MR rows of a"));
+    let mut j0 = 0;
+    while j0 + NR <= n {
+        strip::<MR, NR>(&a_rows, b, n, j0, out);
+        j0 += NR;
+    }
+    if n - j0 >= 8 {
+        strip::<MR, 8>(&a_rows, b, n, j0, out);
+        j0 += 8;
+    }
+    if n - j0 >= 4 {
+        strip::<MR, 4>(&a_rows, b, n, j0, out);
+        j0 += 4;
+    }
+    if n - j0 >= 2 {
+        strip::<MR, 2>(&a_rows, b, n, j0, out);
+        j0 += 2;
+    }
+    if n - j0 >= 1 {
+        strip::<MR, 1>(&a_rows, b, n, j0, out);
+    }
+}
+
+/// The micro-kernel: the `MR × W` outputs at rows `a_rows`, columns
+/// `j0..j0 + W`, held in registers over the whole reduction. Each starts at
+/// `+0.0` and adds `a[r][kk] * b[kk][j0 + c]` for `kk` in increasing order,
+/// a separate multiply and add per step, and is stored once.
+#[inline(always)]
+fn strip<const MR: usize, const W: usize>(
+    a_rows: &[&[f32]; MR],
+    b: &[f32],
+    n: usize,
+    j0: usize,
+    out: &mut [f32],
+) {
+    let mut acc = [[0.0f32; W]; MR];
+    for (kk, b_row) in b.chunks_exact(n).enumerate() {
+        let b_strip: &[f32; W] = b_row[j0..j0 + W].try_into().expect("strip is W wide");
+        for (acc_row, a_row) in acc.iter_mut().zip(a_rows) {
+            let a = a_row[kk];
+            for (o, &bv) in acc_row.iter_mut().zip(b_strip) {
+                *o += a * bv;
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[r * n + j0..r * n + j0 + W].copy_from_slice(acc_row);
+    }
 }
 
 /// A dense row-major matrix of `f32` values.
@@ -202,110 +341,99 @@ impl Matrix {
 
     /// Matrix product `self * other`.
     ///
-    /// Cache-blocked i-k-j kernel: each output row is swept once per
-    /// `K_TILE`-wide reduction tile, rows are dispatched in parallel, and
-    /// every output element accumulates in fixed `k` order — so results are
-    /// bit-identical at any thread count. No zero-skip: `0.0 * NaN` must
-    /// yield `NaN` (IEEE 754), so non-finite weights surface instead of
-    /// being silently masked.
+    /// Runs the register-blocked kernel (see the module docs) over blocks of
+    /// output rows in parallel. Every output element accumulates in fixed `k`
+    /// order, so results are bit-identical at any thread count and kernel
+    /// level. No zero-skip: `0.0 * NaN` must yield `NaN` (IEEE 754), so
+    /// non-finite weights surface instead of being silently masked.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul`] written into `out`, which is reshaped to the
+    /// product's shape and keeps its allocation when it is large enough.
+    ///
+    /// # Panics
+    /// Panics on inner-dimension mismatch.
+    pub(crate) fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+        let flops = 2.0 * self.rows as f64 * self.cols as f64 * other.cols as f64;
+        let timed = ce_telemetry::enabled() && flops >= MATMUL_GAUGE_MIN_FLOPS;
+        let start = timed.then(std::time::Instant::now);
+        self.matmul_at(Level::detected(), other, out);
+        if let Some(start) = start {
+            let secs = start.elapsed().as_secs_f64();
+            if secs > 0.0 {
+                gflops_gauge().set(flops / secs / 1e9);
+            }
+        }
+    }
+
+    /// `self * other` into `out` at kernel `level`.
+    fn matmul_at(&self, level: Level, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
             "matmul dimension mismatch: {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (k_dim, n) = (self.cols, other.cols);
-        let mut out = Matrix::zeros(self.rows, n);
+        let (k, n) = (self.cols, other.cols);
+        // Reshape in place; the kernel overwrites every element.
+        (out.rows, out.cols) = (self.rows, n);
+        out.data.clear();
+        out.data.resize(self.rows * n, 0.0);
         if out.data.is_empty() {
-            return out;
+            return;
         }
-        // Throughput gauge for training-sized products only: the flop floor
-        // keeps serving-path row-vector matmuls free of clock reads.
-        let flops = 2.0 * self.rows as f64 * k_dim as f64 * n as f64;
-        let timed = ce_telemetry::enabled() && flops >= MATMUL_GAUGE_MIN_FLOPS;
-        let start = timed.then(std::time::Instant::now);
-        let block = rows_per_task(k_dim * n);
+        let block = rows_per_task(k * n);
         par_chunks_mut(&mut out.data, block * n, |blk, out_block| {
-            for (r, out_row) in out_block.chunks_mut(n).enumerate() {
-                let a_row = self.row(blk * block + r);
-                for k0 in (0..k_dim).step_by(K_TILE) {
-                    let k1 = (k0 + K_TILE).min(k_dim);
-                    axpy_block(out_row, &a_row[k0..k1], other, k0);
-                }
-            }
+            let a = &self.data[blk * block * k..][..out_block.len() / n * k];
+            gemm_at(level, a, k, &other.data, n, out_block);
         });
-        if let Some(start) = start {
-            let secs = start.elapsed().as_secs_f64();
-            if secs > 0.0 {
-                ce_telemetry::gauge("nn.matmul_gflops").set(flops / secs / 1e9);
-            }
-        }
-        out
     }
 
-    /// `self^T * other` without materializing the transpose.
+    /// `self^T * other`: the same kernel as [`Matrix::matmul`] after one
+    /// transpose of `self`, so each output element still sums over the rows
+    /// of `self` in increasing order, as the naive loop does.
     ///
-    /// Parallel over output rows (columns of `self`); the strided column of
-    /// `self` is packed into a contiguous tile buffer so the inner kernel is
-    /// shared with [`Matrix::matmul`]. Accumulation order per output element
-    /// is increasing `r`, exactly as the naive loop — bit-identical at any
-    /// thread count, and no zero-skip (IEEE `NaN` propagation).
+    /// # Panics
+    /// Panics on a row-count mismatch.
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
+        self.t_matmul_at(Level::detected(), other)
+    }
+
+    fn t_matmul_at(&self, level: Level, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
             "t_matmul dimension mismatch: ({}x{})^T * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (r_dim, n) = (self.rows, other.cols);
-        let mut out = Matrix::zeros(self.cols, n);
-        if out.data.is_empty() {
-            return out;
-        }
-        let block = rows_per_task(r_dim * n);
-        par_chunks_mut(&mut out.data, block * n, |blk, out_block| {
-            let mut packed = [0.0f32; K_TILE];
-            for (r, out_row) in out_block.chunks_mut(n).enumerate() {
-                let i = blk * block + r;
-                for r0 in (0..r_dim).step_by(K_TILE) {
-                    let len = K_TILE.min(r_dim - r0);
-                    for (t, p) in packed[..len].iter_mut().enumerate() {
-                        *p = self.data[(r0 + t) * self.cols + i];
-                    }
-                    axpy_block(out_row, &packed[..len], other, r0);
-                }
-            }
-        });
+        let mut out = Matrix::zeros(0, 0);
+        self.transpose().matmul_at(level, other, &mut out);
         out
     }
 
-    /// `self * other^T` without materializing the transpose.
+    /// `self * other^T`: the same kernel as [`Matrix::matmul`] after one
+    /// transpose of `other`, so each output element is the dot product of
+    /// two rows summed in index order.
     ///
-    /// Parallel over output rows; each element is an unrolled
-    /// single-accumulator dot product of two contiguous rows, summed in
-    /// index order — bit-identical at any thread count.
+    /// # Panics
+    /// Panics on a column-count mismatch.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
+        self.matmul_t_at(Level::detected(), other)
+    }
+
+    fn matmul_t_at(&self, level: Level, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
             "matmul_t dimension mismatch: {}x{} * ({}x{})^T",
             self.rows, self.cols, other.rows, other.cols
         );
-        let n = other.rows;
-        let mut out = Matrix::zeros(self.rows, n);
-        if out.data.is_empty() {
-            return out;
-        }
-        let block = rows_per_task(self.cols * n);
-        par_chunks_mut(&mut out.data, block * n, |blk, out_block| {
-            for (r, out_row) in out_block.chunks_mut(n).enumerate() {
-                let a_row = self.row(blk * block + r);
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    *o = dot(a_row, other.row(j));
-                }
-            }
-        });
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_at(level, &other.transpose(), &mut out);
         out
     }
 
@@ -517,24 +645,99 @@ mod tests {
         assert!(a.t_matmul(&b).get(0, 0).is_nan(), "0.0 * NaN must propagate NaN");
     }
 
+    /// Exact agreement with the reference: equal bits, except that a NaN
+    /// only has to be a NaN (its payload is not part of the contract).
+    fn assert_same_bits(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()), "{what}: shape");
+        for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            if w.is_nan() {
+                assert!(g.is_nan(), "{what}: element {i} is {g}, want NaN");
+            } else {
+                assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i} is {g}, want {w}");
+            }
+        }
+    }
+
+    /// Values over several magnitudes, so a reassociated sum would show up.
+    /// With `specials`, about one entry in 40 is a −0.0, ±∞, subnormal or
+    /// NaN instead.
+    fn lcg_matrix(rows: usize, cols: usize, seed: u64, specials: bool) -> Matrix {
+        const SPECIAL: [f32; 6] =
+            [-0.0, f32::INFINITY, f32::NEG_INFINITY, 1.0e-40, -3.0e-39, f32::NAN];
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let data = (0..rows * cols)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let bits = state >> 33;
+                if specials && bits.is_multiple_of(40) {
+                    SPECIAL[(bits / 40) as usize % SPECIAL.len()]
+                } else {
+                    ((bits as f32 / (1u64 << 31) as f32) - 0.5) * 3.0 * (1 << (bits % 7)) as f32
+                }
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
     #[test]
     fn blocked_kernels_match_reference_bit_for_bit() {
-        // Shapes straddling the K_TILE and unroll boundaries, with values
-        // spread over enough magnitudes that reassociation would show up.
-        let mut seed = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((seed >> 33) as f32 / (1u64 << 31) as f32 - 0.5) * 3.0
-        };
-        for (m, k, n) in [(1, 1, 1), (3, 7, 5), (4, 129, 9), (5, 260, 17), (2, 8, 8)] {
-            let a = Matrix::from_vec(m, k, (0..m * k).map(|_| next()).collect());
-            let b = Matrix::from_vec(k, n, (0..k * n).map(|_| next()).collect());
-            assert_eq!(a.matmul(&b), reference_matmul(&a, &b), "matmul {m}x{k}x{n}");
-            let at = a.transpose();
-            assert_eq!(at.t_matmul(&b), reference_matmul(&a, &b), "t_matmul {m}x{k}x{n}");
-            let bt = b.transpose();
-            assert_eq!(a.matmul_t(&bt), reference_matmul(&a, &b), "matmul_t {m}x{k}x{n}");
+        let levels: Vec<Level> = Level::ALL.into_iter().filter(|l| l.available()).collect();
+        assert!(levels.contains(&Level::Baseline));
+        assert!(levels.contains(&Level::detected()));
+        // The MSCN shapes (predicate widths 14 and 64, top input 65; hidden
+        // and output widths 64 and 1; batches of 1, 8, ~22 predicate rows
+        // and 256), then remainder shapes: widths off the 16-lane strip and
+        // row counts off every register block, and a zero-length reduction.
+        let mut shapes = Vec::new();
+        for k in [14, 64, 65] {
+            for n in [1, 64] {
+                for m in [1, 8, 22, 256] {
+                    shapes.push((m, k, n));
+                }
+            }
         }
+        shapes.extend([(3, 7, 5), (7, 33, 17), (13, 9, 31), (11, 5, 15), (6, 129, 2), (9, 0, 4)]);
+        for (case, &(m, k, n)) in shapes.iter().enumerate() {
+            for specials in [false, true] {
+                let seed = 2 * case as u64 + u64::from(specials);
+                let a = lcg_matrix(m, k, seed, specials);
+                let b = lcg_matrix(k, n, seed + 1000, specials);
+                let want = reference_matmul(&a, &b);
+                let (at, bt) = (a.transpose(), b.transpose());
+                for &level in &levels {
+                    let what = format!("{level:?} {m}x{k}x{n} specials={specials}");
+                    let mut got = Matrix::zeros(0, 0);
+                    a.matmul_at(level, &b, &mut got);
+                    assert_same_bits(&got, &want, &format!("matmul {what}"));
+                    assert_same_bits(&at.t_matmul_at(level, &b), &want, &format!("t_matmul {what}"));
+                    assert_same_bits(&a.matmul_t_at(level, &bt), &want, &format!("matmul_t {what}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn products_of_negative_zeros_sum_to_positive_zero() {
+        // Every product is −0.0; the sum starts from +0.0 as the naive loop's
+        // does, and +0.0 + −0.0 is +0.0.
+        let a = Matrix::from_vec(3, 4, vec![-0.0; 12]);
+        let b = Matrix::from_vec(4, 20, vec![1.0; 80]);
+        for level in Level::ALL.into_iter().filter(|l| l.available()) {
+            let mut got = Matrix::zeros(0, 0);
+            a.matmul_at(level, &b, &mut got);
+            assert!(got.data().iter().all(|v| v.to_bits() == 0), "{level:?}");
+        }
+    }
+
+    #[test]
+    fn matmul_into_reuses_a_larger_buffer() {
+        let a = lcg_matrix(4, 6, 1, false);
+        let b = lcg_matrix(6, 5, 2, false);
+        let mut out = Matrix::zeros(16, 16);
+        let capacity = out.data.capacity();
+        a.matmul_into(&b, &mut out);
+        assert_eq!(out, a.matmul(&b));
+        assert_eq!(out.data.capacity(), capacity);
     }
 
     #[test]

@@ -88,11 +88,29 @@ impl Mlp {
 
     /// Inference-only forward pass.
     pub fn infer(&self, input: &Matrix) -> Matrix {
-        let mut x = self.layers[0].infer(input);
-        for layer in &self.layers[1..] {
-            x = layer.infer(&x);
+        let (mut out, mut scratch) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        self.infer_into(input, &mut out, &mut scratch);
+        out
+    }
+
+    /// [`Mlp::infer`] written into caller-owned buffers: the output lands in
+    /// `out`, the hidden activations pass through `out` and `scratch`, and
+    /// both keep their allocations when they are large enough. Passing the
+    /// same pair to successive calls makes steady-state inference
+    /// allocation-free.
+    pub fn infer_into(&self, input: &Matrix, out: &mut Matrix, scratch: &mut Matrix) {
+        let (last, hidden) = self.layers.split_last().expect("mlp has at least one layer");
+        match hidden.split_first() {
+            None => last.infer_into(input, out),
+            Some((first, rest)) => {
+                first.infer_into(input, scratch);
+                for layer in rest {
+                    layer.infer_into(scratch, out);
+                    std::mem::swap(scratch, out);
+                }
+                last.infer_into(scratch, out);
+            }
         }
-        x
     }
 
     /// Predicts scalar outputs for a batch of feature rows.

@@ -7,37 +7,43 @@
 
 use crate::matrix::Matrix;
 
-/// Mean-pools contiguous row segments of `items`.
+/// Mean-pools contiguous row segments of `items` into the leading
+/// `items.cols()` columns of `out`, one row per segment. The remaining
+/// columns are left as they are, so that a caller can pool straight into a
+/// wider row that carries more features after the pooled ones.
 ///
 /// `segments[i]` is the number of rows belonging to segment `i`; they must sum
 /// to `items.rows()`. Zero-length segments produce an all-zero pooled row
 /// (a query with no predicates of a given kind).
 ///
 /// # Panics
-/// Panics if the lengths do not sum to the number of item rows.
-pub fn segment_mean(items: &Matrix, segments: &[usize]) -> Matrix {
+/// Panics if the lengths do not sum to the number of item rows, if `out`
+/// has a row count different from `segments.len()`, or if `out` is
+/// narrower than `items`.
+pub fn segment_mean_into(items: &Matrix, segments: &[usize], out: &mut Matrix) {
     let total: usize = segments.iter().sum();
     assert_eq!(total, items.rows(), "segment lengths must cover all item rows");
-    let mut out = Matrix::zeros(segments.len(), items.cols());
+    assert_eq!(out.rows(), segments.len(), "one output row per segment");
+    let dim = items.cols();
+    assert!(out.cols() >= dim, "output narrower than the pooled items");
     let mut offset = 0;
     for (s, &len) in segments.iter().enumerate() {
+        let dst = &mut out.row_mut(s)[..dim];
+        dst.fill(0.0);
         if len == 0 {
             continue;
         }
         let inv = 1.0 / len as f32;
         for r in offset..offset + len {
-            let row = items.row(r);
-            let dst = out.row_mut(s);
-            for (d, &v) in dst.iter_mut().zip(row) {
+            for (d, &v) in dst.iter_mut().zip(items.row(r)) {
                 *d += v * inv;
             }
         }
         offset += len;
     }
-    out
 }
 
-/// Backward of [`segment_mean`]: expands `grad_pooled` (`num_segments x dim`)
+/// Backward of [`segment_mean_into`]: expands `grad_pooled` (`num_segments x dim`)
 /// back to item rows, scaling each segment's gradient by `1/len`.
 ///
 /// # Panics
@@ -70,6 +76,12 @@ pub fn segment_mean_backward(grad_pooled: &Matrix, segments: &[usize]) -> Matrix
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn segment_mean(items: &Matrix, segments: &[usize]) -> Matrix {
+        let mut out = Matrix::zeros(segments.len(), items.cols());
+        segment_mean_into(items, segments, &mut out);
+        out
+    }
 
     #[test]
     fn segment_mean_averages_each_segment() {

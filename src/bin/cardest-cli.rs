@@ -22,20 +22,26 @@
 //! cargo run --release --bin cardest-cli -- stats --format prom
 //! ```
 //!
-//! The `serve` subcommand runs a long-lived prequential serving loop over a
-//! [`SelfHealingService`] with periodic durable checkpoints. `SIGTERM` /
-//! `SIGINT` trigger a graceful shutdown (final checkpoint, then summary), and
-//! `--resume` restores from the checkpoint file so a killed server picks up
-//! bit-for-bit where it left off:
+//! The `serve` subcommand runs the [`SelfHealingService`] as an HTTP server
+//! (`--listen`, default `127.0.0.1:8080`) with periodic durable checkpoints.
+//! `SIGTERM` / `SIGINT` drain it gracefully (final checkpoint, then summary),
+//! and `--resume` restores from the checkpoint file so a killed server picks
+//! up bit-for-bit where it left off:
 //!
 //! ```text
-//! cargo run --release --bin cardest-cli -- serve --stream 2000 --checkpoint-every 200
-//! cargo run --release --bin cardest-cli -- serve --resume
+//! cargo run --release --bin cardest-cli -- serve --listen 127.0.0.1:8080 --checkpoint-every 200
+//! cargo run --release --bin cardest-cli -- serve --listen 127.0.0.1:8080 --resume
 //! ```
+//!
+//! `route` fronts a fleet of `serve` shards with a consistent-hash router and
+//! `trace` pretty-prints a running server's flight recorder. Each command's
+//! flags live in one table ([`Command`]) that drives both the parser and the
+//! `--help` synopsis.
 
 use std::io::{BufRead, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use cardest::conformal::{
     install_quiet_chaos_hook, read_checkpoint, write_checkpoint, AbsoluteResidual, BreakerState,
@@ -51,6 +57,132 @@ use cardest::pipeline::{
 use cardest::query::{parse_query, GeneratorConfig};
 use cardest::serve::{HttpServeConfig, ServeEngine};
 
+/// One command-line flag: its name, the placeholder for its value (`None`
+/// for a switch, which takes no value) and how the value lands in the
+/// options struct. An `Err` from `set` reads after the flag's name.
+struct Flag<T> {
+    name: &'static str,
+    metavar: Option<&'static str>,
+    set: fn(&mut T, &str) -> Result<(), String>,
+}
+
+impl<T> Flag<T> {
+    /// A flag followed by a value, shown as `METAVAR` in the synopsis.
+    const fn valued(
+        name: &'static str,
+        metavar: &'static str,
+        set: fn(&mut T, &str) -> Result<(), String>,
+    ) -> Self {
+        Flag { name, metavar: Some(metavar), set }
+    }
+
+    /// A switch: `set` sees an empty value.
+    const fn switch(name: &'static str, set: fn(&mut T, &str) -> Result<(), String>) -> Self {
+        Flag { name, metavar: None, set }
+    }
+}
+
+/// The `--dataset` metavar of every command that builds a table.
+const DATASETS: &str = "dmv|census|forest|power";
+
+/// A command: its word after `cardest-cli` (empty for the interactive
+/// mode), its flag table, the prose of its `--help`, and the checks that
+/// span several flags. The parser and the usage text both read the table,
+/// so the flag list lives in one place.
+struct Command<T: 'static> {
+    name: &'static str,
+    flags: &'static [Flag<T>],
+    about: &'static str,
+    check: fn(&T) -> Result<(), String>,
+}
+
+/// What a command line asks for: print the usage, or run.
+#[derive(Debug)]
+enum Args<T> {
+    Help,
+    Run(T),
+}
+
+/// Parses a flag value; the error message reads after the flag's name.
+fn value<V: std::str::FromStr>(raw: &str) -> Result<V, String> {
+    raw.parse().map_err(|_| format!("takes a number, got `{raw}`"))
+}
+
+impl<T: Default> Command<T> {
+    /// The one argument parser. Every problem (unknown flag, missing or
+    /// malformed value, failed check) is an `Err`, never a
+    /// warning-and-continue, so a typo cannot silently drop an option.
+    /// `--help`/`-h` stops parsing where it appears.
+    fn parse(&self, args: &[String]) -> Result<Args<T>, String> {
+        let mut opts = T::default();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if arg == "--help" || arg == "-h" {
+                return Ok(Args::Help);
+            }
+            let Some(flag) = self.flags.iter().find(|f| f.name == arg) else {
+                return Err(format!("unknown flag {arg}"));
+            };
+            let raw = match flag.metavar {
+                Some(_) => args.next().ok_or_else(|| format!("missing value for {arg}"))?,
+                None => "",
+            };
+            (flag.set)(&mut opts, raw).map_err(|e| format!("{arg} {e}"))?;
+        }
+        (self.check)(&opts)?;
+        Ok(Args::Run(opts))
+    }
+
+    /// `cardest-cli` followed by the command word, if any.
+    fn invocation(&self) -> String {
+        if self.name.is_empty() {
+            "cardest-cli".to_string()
+        } else {
+            format!("cardest-cli {}", self.name)
+        }
+    }
+
+    /// `cardest-cli NAME [--flag METAVAR] …`, rendered from the flag table.
+    fn synopsis(&self) -> String {
+        let mut line = self.invocation();
+        for flag in self.flags {
+            match flag.metavar {
+                Some(metavar) => line.push_str(&format!(" [{} {metavar}]", flag.name)),
+                None => line.push_str(&format!(" [{}]", flag.name)),
+            }
+        }
+        line
+    }
+
+    /// The `--help` text. The interactive mode's is the program's help, so
+    /// it lists every command line.
+    fn usage(&self) -> String {
+        let mut lines = vec![self.synopsis()];
+        if self.name.is_empty() {
+            lines.extend([STATS.synopsis(), SERVE.synopsis(), ROUTE.synopsis(), TRACE.synopsis()]);
+        }
+        format!("usage: {}\n\n{}", lines.join("\n       "), self.about)
+    }
+
+    /// Parses `args` or ends the process: `--help` prints the usage and
+    /// exits 0, any error exits 2.
+    fn options(&self, args: &[String]) -> T {
+        match self.parse(args) {
+            Ok(Args::Run(opts)) => opts,
+            Ok(Args::Help) => {
+                println!("{}", self.usage());
+                std::process::exit(0);
+            }
+            Err(msg) => {
+                eprintln!("{msg} (try `{} --help`)", self.invocation());
+                std::process::exit(2);
+            }
+        }
+    }
+}
+
+/// Options for the interactive mode.
+#[derive(Debug)]
 struct Options {
     dataset: String,
     rows: usize,
@@ -59,55 +191,36 @@ struct Options {
     queries: usize,
 }
 
-fn parse_args() -> Options {
-    let mut opts = Options {
-        dataset: "dmv".into(),
-        rows: 20_000,
-        model: "mscn".into(),
-        alpha: 0.1,
-        queries: 2_000,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| {
-            args.get(i + 1)
-                .unwrap_or_else(|| {
-                    eprintln!("missing value for {}", args[i]);
-                    std::process::exit(2);
-                })
-                .clone()
-        };
-        match args[i].as_str() {
-            "--dataset" => opts.dataset = value(i),
-            "--rows" => opts.rows = value(i).parse().expect("--rows takes a number"),
-            "--model" => opts.model = value(i),
-            "--alpha" => opts.alpha = value(i).parse().expect("--alpha takes a float"),
-            "--queries" => {
-                opts.queries = value(i).parse().expect("--queries takes a number")
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: cardest-cli [--dataset dmv|census|forest|power] \
-                     [--rows N] [--model mscn|lwnn|naru] [--alpha A] [--queries N]\n\
-                     \x20      cardest-cli stats [--dataset D] [--rows N] [--stream N] \
-                     [--format text|json|prom]\n\
-                     \x20      cardest-cli serve [--dataset D] [--rows N] [--stream N] \
-                     [--checkpoint PATH] [--checkpoint-every N] [--drift-at N] [--resume]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other} (try --help)");
-                std::process::exit(2);
-            }
+impl Default for Options {
+    fn default() -> Self {
+        Self {
+            dataset: "dmv".into(),
+            rows: 20_000,
+            model: "mscn".into(),
+            alpha: 0.1,
+            queries: 2_000,
         }
-        i += 2;
     }
-    opts
 }
 
+static INTERACTIVE: Command<Options> = Command {
+    name: "",
+    flags: &[
+        Flag::valued("--dataset", DATASETS, |o, v| value(v).map(|v| o.dataset = v)),
+        Flag::valued("--rows", "N", |o, v| value(v).map(|v| o.rows = v)),
+        Flag::valued("--model", "mscn|lwnn|naru", |o, v| value(v).map(|v| o.model = v)),
+        Flag::valued("--alpha", "A", |o, v| value(v).map(|v| o.alpha = v)),
+        Flag::valued("--queries", "N", |o, v| value(v).map(|v| o.queries = v)),
+    ],
+    about: "Without a subcommand: trains the model, calibrates split and locally \
+weighted conformal intervals, then answers queries read from stdin \
+(`make = 3 AND unladen_weight in 10..40`) with the exact count, the estimate \
+and the interval. `cardest-cli COMMAND --help` describes each subcommand.",
+    check: |_| Ok(()),
+};
+
 /// Options for the `stats` subcommand.
+#[derive(Debug)]
 struct StatsOptions {
     dataset: String,
     rows: usize,
@@ -116,63 +229,42 @@ struct StatsOptions {
     format: String,
 }
 
-fn parse_stats_args(args: &[String]) -> StatsOptions {
-    let mut opts = StatsOptions {
-        dataset: "dmv".into(),
-        rows: 10_000,
-        queries: 800,
-        stream: 600,
-        format: "text".into(),
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| {
-            args.get(i + 1)
-                .unwrap_or_else(|| {
-                    eprintln!("missing value for {}", args[i]);
-                    std::process::exit(2);
-                })
-                .clone()
-        };
-        match args[i].as_str() {
-            "--dataset" => opts.dataset = value(i),
-            "--rows" => opts.rows = value(i).parse().expect("--rows takes a number"),
-            "--queries" => {
-                opts.queries = value(i).parse().expect("--queries takes a number")
-            }
-            "--stream" => opts.stream = value(i).parse().expect("--stream takes a number"),
-            "--format" => opts.format = value(i),
-            "--help" | "-h" => {
-                println!(
-                    "usage: cardest-cli stats [--dataset dmv|census|forest|power] \
-                     [--rows N] [--queries N] [--stream N] [--format text|json|prom]\n\n\
-                     Serves a chaos-injected query stream (20% NaN, 5% panic primary) \
-                     through the resilient fallback chain with telemetry enabled, then \
-                     prints resilience stats, breaker states, recent errors, and the \
-                     metrics registry in the chosen format."
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown stats flag {other} (try stats --help)");
-                std::process::exit(2);
-            }
+impl Default for StatsOptions {
+    fn default() -> Self {
+        Self {
+            dataset: "dmv".into(),
+            rows: 10_000,
+            queries: 800,
+            stream: 600,
+            format: "text".into(),
         }
-        i += 2;
     }
-    if !matches!(opts.format.as_str(), "text" | "json" | "prom") {
-        eprintln!("unknown --format `{}` (text|json|prom)", opts.format);
-        std::process::exit(2);
-    }
-    opts
 }
+
+static STATS: Command<StatsOptions> = Command {
+    name: "stats",
+    flags: &[
+        Flag::valued("--dataset", DATASETS, |o, v| value(v).map(|v| o.dataset = v)),
+        Flag::valued("--rows", "N", |o, v| value(v).map(|v| o.rows = v)),
+        Flag::valued("--queries", "N", |o, v| value(v).map(|v| o.queries = v)),
+        Flag::valued("--stream", "N", |o, v| value(v).map(|v| o.stream = v)),
+        Flag::valued("--format", "text|json|prom", |o, v| value(v).map(|v| o.format = v)),
+    ],
+    about: "Serves a chaos-injected query stream (20% NaN, 5% panic primary) \
+through the resilient fallback chain with telemetry enabled, then prints \
+resilience stats, breaker states, recent errors, the self-healing remediation \
+history and the metrics registry in the chosen format.",
+    check: |o| match o.format.as_str() {
+        "text" | "json" | "prom" => Ok(()),
+        other => Err(format!("unknown --format `{other}` (text|json|prom)")),
+    },
+};
 
 /// `cardest-cli stats`: build the MSCN→AVI→sampling fallback chain with a
 /// chaos-wrapped primary, serve a prequential stream with telemetry on, and
 /// dump the observability surface (resilience counters, breaker states,
 /// bounded error ring, metrics registry).
-fn run_stats(args: &[String]) {
-    let opts = parse_stats_args(args);
+fn run_stats(opts: StatsOptions) {
     let seed = 42;
     let alpha = 0.1;
     let Some(table) = cardest::datagen::by_name(&opts.dataset, opts.rows, seed) else {
@@ -325,189 +417,151 @@ where
 }
 
 /// Options for the `serve` subcommand.
-#[cfg_attr(test, derive(Debug))]
+#[derive(Debug)]
 struct ServeOptions {
     dataset: String,
     rows: usize,
     queries: usize,
-    stream: usize,
     checkpoint: PathBuf,
     every: usize,
-    drift_at: Option<usize>,
     resume: bool,
-    /// When set, serve over HTTP on this address instead of the prequential
-    /// text loop.
-    listen: Option<String>,
+    listen: String,
     workers: usize,
     queue: usize,
     max_batch: usize,
     batch_window_us: u64,
     /// Couple CoverageMonitor alarms to the Drifted-mode switch.
     alarm_coupled: bool,
-    /// Trace head-sampling rate (HTTP mode): trace one request in N. 0
-    /// disables tracing, 1 traces everything; anomalies trace everything
-    /// for a window regardless.
+    /// Trace head-sampling rate: trace one request in N. 0 disables
+    /// tracing, 1 traces everything; anomalies trace everything for a
+    /// window regardless.
     trace_sample: u64,
-    /// Additional model names to register besides `default` (HTTP mode).
-    /// Each gets its own self-healing engine over the shared trained model
-    /// and its own checkpoint file at `{checkpoint}.{name}`.
+    /// Additional model names to register besides `default`. Each gets its
+    /// own self-healing engine over the shared trained model and its own
+    /// checkpoint file at `{checkpoint}.{name}`.
     models: Vec<String>,
-    /// Per-tenant token-bucket refill rate in requests/second (HTTP mode).
-    /// Unset disables rate limiting.
+    /// Per-tenant token-bucket refill rate in requests/second. Unset
+    /// disables rate limiting.
     tenant_rate: Option<f64>,
     /// Token-bucket burst capacity (only meaningful with --tenant-rate).
     tenant_burst: f64,
-    /// Interval-cache capacity in entries (HTTP mode); 0 disables caching.
+    /// Interval-cache capacity in entries; 0 disables caching.
     cache_cap: usize,
 }
 
-/// Outcome of parsing `serve` arguments: run, or print usage and stop.
-/// One short-lived value per invocation, so the size skew is harmless.
-#[cfg_attr(test, derive(Debug))]
-#[allow(clippy::large_enum_variant)]
-enum ServeArgs {
-    Help,
-    Run(ServeOptions),
+impl Default for ServeOptions {
+    fn default() -> Self {
+        Self {
+            dataset: "dmv".into(),
+            rows: 10_000,
+            queries: 800,
+            checkpoint: PathBuf::from("cardest-serve.ckpt"),
+            every: 200,
+            resume: false,
+            listen: "127.0.0.1:8080".into(),
+            workers: 4,
+            queue: 1024,
+            max_batch: 64,
+            // Zero matches HttpServeConfig::default(): the batcher's inline
+            // fast path plus busy-runner coalescing beat a fixed linger
+            // window at every measured concurrency.
+            batch_window_us: 0,
+            alarm_coupled: false,
+            trace_sample: ce_telemetry::trace::DEFAULT_SAMPLE_RATE,
+            models: Vec::new(),
+            tenant_rate: None,
+            tenant_burst: 8.0,
+            cache_cap: 0,
+        }
+    }
 }
 
-const SERVE_USAGE: &str = "usage: cardest-cli serve [--dataset dmv|census|forest|power] \
-[--rows N] [--queries N] [--stream N] [--checkpoint PATH] \
-[--checkpoint-every N] [--drift-at N] [--resume] [--listen ADDR] \
-[--workers N] [--queue N] [--max-batch N] [--batch-window-us N] \
-[--trace-sample N] [--alarm-coupled] [--models a,b,...] \
-[--tenant-rate R] [--tenant-burst B] [--cache-cap N]\n\n\
-Runs the self-healing PI service with periodic durable checkpoints. \
-Without --listen: a prequential text loop whose truths shift by +0.5 from \
---drift-at (default stream/2) onward so the drift alarm and shadow-validated \
-recalibration fire mid-run. With --listen ADDR (e.g. 127.0.0.1:8080): a \
-network HTTP server exposing POST /v1/predict[/{model}], \
-POST /v1/observe[/{model}], POST /v1/admin/models/{model} (hot reload from a \
-posted checkpoint, shadow-validated with rollback), GET /metrics, /healthz \
-and /readyz, with micro-batched admission-controlled serving through the \
-full resilient fallback chain. --models registers extra named engines (each \
+/// `--models a,b,...`: names are trimmed and deduplicated, and each must be
+/// usable as a URL path segment.
+fn set_models(opts: &mut ServeOptions, raw: &str) -> Result<(), String> {
+    let mut names: Vec<String> = Vec::new();
+    for name in raw.split(',') {
+        let name = name.trim();
+        if name.is_empty() {
+            return Err("names must be non-empty".to_string());
+        }
+        if name.contains('/') || name.contains(char::is_whitespace) {
+            return Err(format!(
+                "name `{name}` must not contain `/` or whitespace \
+                 (it becomes a URL path segment)"
+            ));
+        }
+        if !names.iter().any(|n| n == name) {
+            names.push(name.to_string());
+        }
+    }
+    opts.models = names;
+    Ok(())
+}
+
+static SERVE: Command<ServeOptions> = Command {
+    name: "serve",
+    flags: &[
+        Flag::valued("--dataset", DATASETS, |o, v| value(v).map(|v| o.dataset = v)),
+        Flag::valued("--rows", "N", |o, v| value(v).map(|v| o.rows = v)),
+        Flag::valued("--queries", "N", |o, v| value(v).map(|v| o.queries = v)),
+        Flag::valued("--checkpoint", "PATH", |o, v| value(v).map(|v| o.checkpoint = v)),
+        Flag::valued("--checkpoint-every", "N", |o, v| value(v).map(|v| o.every = v)),
+        Flag::switch("--resume", |o, _| {
+            o.resume = true;
+            Ok(())
+        }),
+        Flag::valued("--listen", "ADDR", |o, v| value(v).map(|v| o.listen = v)),
+        Flag::valued("--workers", "N", |o, v| value(v).map(|v| o.workers = v)),
+        Flag::valued("--queue", "N", |o, v| value(v).map(|v| o.queue = v)),
+        Flag::valued("--max-batch", "N", |o, v| value(v).map(|v| o.max_batch = v)),
+        Flag::valued("--batch-window-us", "N", |o, v| value(v).map(|v| o.batch_window_us = v)),
+        Flag::valued("--trace-sample", "N", |o, v| value(v).map(|v| o.trace_sample = v)),
+        Flag::switch("--alarm-coupled", |o, _| {
+            o.alarm_coupled = true;
+            Ok(())
+        }),
+        Flag::valued("--models", "a,b,...", set_models),
+        Flag::valued("--tenant-rate", "R", |o, v| value(v).map(|v| o.tenant_rate = Some(v))),
+        Flag::valued("--tenant-burst", "B", |o, v| value(v).map(|v| o.tenant_burst = v)),
+        Flag::valued("--cache-cap", "N", |o, v| value(v).map(|v| o.cache_cap = v)),
+    ],
+    about: "Runs the self-healing PI service as an HTTP server on --listen \
+(default 127.0.0.1:8080; port 0 picks a free one) with periodic durable \
+checkpoints: POST /v1/predict[/{model}], POST /v1/observe[/{model}], \
+POST /v1/admin/models/{model} (hot reload from a posted checkpoint, \
+shadow-validated with rollback), GET /metrics, /debug/trace, /healthz and \
+/readyz, with micro-batched admission-controlled serving through the full \
+resilient fallback chain. --models registers extra named engines (each \
 checkpointing to {checkpoint}.{name}); --tenant-rate/--tenant-burst \
-rate-limit per x-ce-tenant header; --cache-cap enables the epoch-keyed \
+rate-limit per x-ce-tenant header; --cache-cap enables the generation-keyed \
 interval cache. SIGTERM/SIGINT checkpoint and exit gracefully; --resume \
-restores (chain breakers included) and continues bit-for-bit.";
+restores (chain breakers included) and continues bit-for-bit.",
+    check: |o| {
+        if o.every == 0 {
+            return Err("--checkpoint-every must be at least 1".to_string());
+        }
+        if o.workers == 0 {
+            return Err("--workers must be at least 1".to_string());
+        }
+        if o.max_batch == 0 {
+            return Err("--max-batch must be at least 1".to_string());
+        }
+        if let Some(rate) = o.tenant_rate {
+            if !rate.is_finite() || rate <= 0.0 {
+                return Err("--tenant-rate must be a positive number".to_string());
+            }
+        }
+        if !o.tenant_burst.is_finite() || o.tenant_burst < 1.0 {
+            return Err("--tenant-burst must be at least 1".to_string());
+        }
+        Ok(())
+    },
+};
 
-/// Pure argument parser for `serve` — every problem (unknown flag, missing
-/// or malformed value) is an `Err`, never a warning-and-continue, so a typo
-/// cannot silently drop an option.
-fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
-    let mut opts = ServeOptions {
-        dataset: "dmv".into(),
-        rows: 10_000,
-        queries: 800,
-        stream: 2_000,
-        checkpoint: PathBuf::from("cardest-serve.ckpt"),
-        every: 200,
-        drift_at: None,
-        resume: false,
-        listen: None,
-        workers: 4,
-        queue: 1024,
-        max_batch: 64,
-        // Zero matches HttpServeConfig::default(): the batcher's inline
-        // fast path plus busy-runner coalescing beat a fixed linger window
-        // at every measured concurrency.
-        batch_window_us: 0,
-        alarm_coupled: false,
-        trace_sample: ce_telemetry::trace::DEFAULT_SAMPLE_RATE,
-        models: Vec::new(),
-        tenant_rate: None,
-        tenant_burst: 8.0,
-        cache_cap: 0,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| -> Result<String, String> {
-            args.get(i + 1).cloned().ok_or_else(|| format!("missing value for {}", args[i]))
-        };
-        fn number<T: std::str::FromStr>(flag: &str, raw: String) -> Result<T, String> {
-            raw.parse().map_err(|_| format!("{flag} takes a number, got `{raw}`"))
-        }
-        match args[i].as_str() {
-            "--dataset" => opts.dataset = value(i)?,
-            "--rows" => opts.rows = number("--rows", value(i)?)?,
-            "--queries" => opts.queries = number("--queries", value(i)?)?,
-            "--stream" => opts.stream = number("--stream", value(i)?)?,
-            "--checkpoint" => opts.checkpoint = PathBuf::from(value(i)?),
-            "--checkpoint-every" => opts.every = number("--checkpoint-every", value(i)?)?,
-            "--drift-at" => opts.drift_at = Some(number("--drift-at", value(i)?)?),
-            "--listen" => opts.listen = Some(value(i)?),
-            "--workers" => opts.workers = number("--workers", value(i)?)?,
-            "--queue" => opts.queue = number("--queue", value(i)?)?,
-            "--max-batch" => opts.max_batch = number("--max-batch", value(i)?)?,
-            "--batch-window-us" => {
-                opts.batch_window_us = number("--batch-window-us", value(i)?)?
-            }
-            "--trace-sample" => opts.trace_sample = number("--trace-sample", value(i)?)?,
-            "--models" => {
-                let raw = value(i)?;
-                let mut names = Vec::new();
-                for name in raw.split(',') {
-                    let name = name.trim();
-                    if name.is_empty() {
-                        return Err("--models names must be non-empty".to_string());
-                    }
-                    if name.contains('/') || name.contains(char::is_whitespace) {
-                        return Err(format!(
-                            "--models name `{name}` must not contain `/` or whitespace \
-                             (it becomes a URL path segment)"
-                        ));
-                    }
-                    if !names.iter().any(|n| n == name) {
-                        names.push(name.to_string());
-                    }
-                }
-                opts.models = names;
-            }
-            "--tenant-rate" => {
-                opts.tenant_rate = Some(number("--tenant-rate", value(i)?)?)
-            }
-            "--tenant-burst" => {
-                opts.tenant_burst = number("--tenant-burst", value(i)?)?
-            }
-            "--cache-cap" => opts.cache_cap = number("--cache-cap", value(i)?)?,
-            "--resume" => {
-                opts.resume = true;
-                i += 1;
-                continue;
-            }
-            "--alarm-coupled" => {
-                opts.alarm_coupled = true;
-                i += 1;
-                continue;
-            }
-            "--help" | "-h" => return Ok(ServeArgs::Help),
-            other => return Err(format!("unknown serve flag {other} (try serve --help)")),
-        }
-        i += 2;
-    }
-    if opts.every == 0 {
-        return Err("--checkpoint-every must be at least 1".to_string());
-    }
-    if opts.workers == 0 {
-        return Err("--workers must be at least 1".to_string());
-    }
-    if opts.max_batch == 0 {
-        return Err("--max-batch must be at least 1".to_string());
-    }
-    if let Some(rate) = opts.tenant_rate {
-        if !rate.is_finite() || rate <= 0.0 {
-            return Err("--tenant-rate must be a positive number".to_string());
-        }
-    }
-    if !opts.tenant_burst.is_finite() || opts.tenant_burst < 1.0 {
-        return Err("--tenant-burst must be at least 1".to_string());
-    }
-    Ok(ServeArgs::Run(opts))
-}
-
-/// Set by the signal handler; the serve loop polls it between observations.
+/// Set by the signal handler; the serve and route loops poll it.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-#[cfg(unix)]
 fn install_signal_handlers() {
     // Minimal libc-free signal hookup: `signal(2)` is in every unix libc the
     // binary already links against. The handler only touches an atomic,
@@ -520,32 +574,25 @@ fn install_signal_handlers() {
     }
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
+    // SAFETY: `signal` takes a plain signal number and an `extern "C"`
+    // handler that lives for the whole program.
     unsafe {
         signal(SIGINT, request_shutdown);
         signal(SIGTERM, request_shutdown);
     }
 }
 
-#[cfg(not(unix))]
-fn install_signal_handlers() {}
+/// `cardest-cli serve`: a multi-tenant
+/// [`ModelRegistry`](cardest::tenant::ModelRegistry) (DESIGN.md §15) over
+/// HTTP. Every model, `default` plus one per `--models` name, is a
+/// self-healing service behind a resilient AVI/sampling fallback chain with
+/// its own checkpoint file. Serves `POST /v1/predict[/{model}]`,
+/// `POST /v1/observe[/{model}]`, the hot reload admin route, and
+/// `GET /metrics` until SIGTERM/SIGINT, checkpointing every model's full
+/// chain every `--checkpoint-every` observations and once more on drain.
+fn run_serve(opts: ServeOptions) {
+    use cardest::tenant::{start_registry_server, ModelRegistry, RegistryTuning, DEFAULT_MODEL};
 
-/// `cardest-cli serve`: a long-lived loop over the [`SelfHealingService`]
-/// with periodic durable checkpoints, graceful signal shutdown, and
-/// bit-for-bit `--resume`. Without `--listen`: a prequential text loop with
-/// drift injection. With `--listen ADDR`: a network HTTP server through the
-/// full resilient chain (breaker snapshots ride the checkpoint both ways).
-fn run_serve(args: &[String]) {
-    let opts = match parse_serve_args(args) {
-        Ok(ServeArgs::Help) => {
-            println!("{SERVE_USAGE}");
-            return;
-        }
-        Ok(ServeArgs::Run(opts)) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
     let seed = 42;
     let alpha = 0.1;
     install_signal_handlers();
@@ -554,10 +601,9 @@ fn run_serve(args: &[String]) {
         std::process::exit(2);
     };
     eprintln!(
-        "serve: dataset {} ({} rows), stream {}, checkpoint {} every {} obs",
+        "serve: dataset {} ({} rows), checkpoint {} every {} obs",
         opts.dataset,
         table.n_rows(),
-        opts.stream,
         opts.checkpoint.display(),
         opts.every,
     );
@@ -573,122 +619,6 @@ fn run_serve(args: &[String]) {
     // checkpoint file.
     eprintln!("training mscn ...");
     let model = train_mscn(&bench.feat, &bench.train, 10, seed);
-    let drift_at = opts.drift_at.unwrap_or(opts.stream / 2);
-
-    let fresh = |model| {
-        SelfHealingService::new(
-            model,
-            AbsoluteResidual,
-            &bench.calib.x,
-            &bench.calib.y,
-            PiServiceConfig {
-                alpha,
-                couple_coverage_alarm: opts.alarm_coupled,
-                ..Default::default()
-            },
-            HealConfig { min_history: 60, cooldown_base: 100, ..Default::default() },
-        )
-    };
-    // Load the checkpoint once and keep the breaker snapshots aside: the
-    // healing restore consumes the checkpoint, but the HTTP path still needs
-    // the chain half afterwards.
-    let loaded = if opts.resume && opts.checkpoint.exists() {
-        match read_checkpoint(&opts.checkpoint) {
-            Ok(ckpt) => Some(ckpt),
-            Err(e) => {
-                eprintln!("checkpoint unusable ({e}); cold-starting fresh");
-                None
-            }
-        }
-    } else {
-        if opts.resume {
-            eprintln!("no checkpoint at {}; cold-starting fresh", opts.checkpoint.display());
-        }
-        None
-    };
-    let saved_breakers = loaded.as_ref().map(|c| c.breakers.clone()).unwrap_or_default();
-    let mut svc = match loaded {
-        Some(ckpt) => {
-            match SelfHealingService::restore(model.clone(), AbsoluteResidual, ckpt) {
-                Ok(svc) => {
-                    eprintln!(
-                        "resumed from {} at observation {}",
-                        opts.checkpoint.display(),
-                        svc.observations()
-                    );
-                    svc
-                }
-                Err(e) => {
-                    eprintln!("checkpoint unusable ({e}); cold-starting fresh");
-                    fresh(model.clone())
-                }
-            }
-        }
-        None => fresh(model.clone()),
-    };
-
-    if let Some(listen) = &opts.listen {
-        run_serve_http(listen, &opts, svc, saved_breakers, model, &bench, seed, alpha);
-        return;
-    }
-
-    let start = svc.observations() as usize;
-    if start >= opts.stream {
-        eprintln!("checkpoint already at observation {start} >= --stream {}; done", opts.stream);
-    }
-    let mut served = 0usize;
-    let mut covered = 0usize;
-    for qi in start..opts.stream {
-        if SHUTDOWN.load(Ordering::SeqCst) {
-            eprintln!("shutdown signal received at observation {qi}");
-            break;
-        }
-        let i = qi % bench.test.len();
-        let x = &bench.test.x[i];
-        let drift = if qi >= drift_at { 0.5 } else { 0.0 };
-        let y = bench.test.y[i] + drift;
-        if svc.interval(x).contains(y) {
-            covered += 1;
-        }
-        served += 1;
-        svc.observe(x, y);
-        if (qi + 1) % opts.every == 0 {
-            checkpoint_now(&mut svc, &opts.checkpoint, "periodic");
-        }
-    }
-    checkpoint_now(&mut svc, &opts.checkpoint, "final");
-    if served > 0 {
-        println!(
-            "served {served} observations this run, empirical coverage {:.3}",
-            covered as f64 / served as f64
-        );
-    }
-    print_remediation_text(&svc);
-}
-
-/// The HTTP serving mode: a multi-tenant
-/// [`ModelRegistry`](cardest::tenant::ModelRegistry) (DESIGN.md §15) whose
-/// `default` model is the resumed self-healing service behind a
-/// resilient AVI/sampling fallback chain, plus one independent engine per
-/// `--models` name (each with its own `{checkpoint}.{name}` file). Serves
-/// `POST /v1/predict[/{model}]`, `POST /v1/observe[/{model}]`, the hot
-/// reload admin route, and `GET /metrics` until SIGTERM/SIGINT,
-/// checkpointing every model's full chain every `--checkpoint-every`
-/// observations and once more on drain.
-#[allow(clippy::too_many_arguments)]
-fn run_serve_http<M>(
-    listen: &str,
-    opts: &ServeOptions,
-    svc: SelfHealingService<M, AbsoluteResidual>,
-    saved_breakers: Vec<cardest::conformal::BreakerSnapshot>,
-    model: M,
-    bench: &SingleTableBench,
-    seed: u64,
-    alpha: f64,
-) where
-    M: Regressor + Clone + Send + Sync + 'static,
-{
-    use cardest::tenant::{start_registry_server, ModelRegistry, RegistryTuning, DEFAULT_MODEL};
 
     let floor = 1.0 / bench.table.n_rows() as f64;
     let dims = bench.calib.x.first().map(Vec::len).unwrap_or(0);
@@ -696,15 +626,12 @@ fn run_serve_http<M>(
     let avi = AviModel::build(&bench.table, floor);
     let sampling =
         SamplingEstimator::build(&bench.table, (opts.rows / 100).max(50), seed + 7, floor);
-    // The fallback chain is rebuilt per engine (extra models, hot reloads):
+    // The fallback chain is rebuilt per engine (every model, hot reloads):
     // the heavy parts (AVI histograms, the row sample) are built once above
     // and cloned; only the cheap conformal wrappers are fresh each time.
-    let calib_x = bench.calib.x.clone();
-    let calib_y = bench.calib.y.clone();
-    let make_fallbacks: std::sync::Arc<dyn Fn() -> Vec<Box<dyn PiEstimator>> + Send + Sync> = {
-        let (avi, sampling) = (avi, sampling);
-        let (calib_x, calib_y) = (calib_x.clone(), calib_y.clone());
-        std::sync::Arc::new(move || {
+    let make_fallbacks: Arc<dyn Fn() -> Vec<Box<dyn PiEstimator>> + Send + Sync> = {
+        let (calib_x, calib_y) = (bench.calib.x.clone(), bench.calib.y.clone());
+        Arc::new(move || {
             vec![
                 Box::new(OnlineConformal::new(
                     avi.clone(),
@@ -723,13 +650,61 @@ fn run_serve_http<M>(
             ]
         })
     };
-    let engine = std::sync::Arc::new(ServeEngine::new(svc, make_fallbacks(), dims));
-    if !saved_breakers.is_empty() {
-        match engine.restore_breakers(&saved_breakers) {
-            Ok(()) => eprintln!("restored {} breaker snapshots", saved_breakers.len()),
-            Err(e) => eprintln!("breaker snapshots not restored ({e}); starting closed"),
+    // One recipe for every model, `default` included: with --resume, restore
+    // the checkpoint at `path` (chain breakers too); without it, or when the
+    // file is missing or unusable, cold-start.
+    let load_engine = |name: &str, path: &Path| {
+        let restored = if !opts.resume {
+            None
+        } else if !path.exists() {
+            eprintln!("model {name}: no checkpoint at {}; cold-starting", path.display());
+            None
+        } else {
+            let restored = read_checkpoint(path).and_then(|ckpt| {
+                let breakers = ckpt.breakers.clone();
+                SelfHealingService::restore(model.clone(), AbsoluteResidual, ckpt)
+                    .map(|svc| (svc, breakers))
+            });
+            match restored {
+                Ok(restored) => Some(restored),
+                Err(e) => {
+                    eprintln!("model {name}: checkpoint unusable ({e}); cold-starting");
+                    None
+                }
+            }
+        };
+        let Some((svc, breakers)) = restored else {
+            let svc = SelfHealingService::new(
+                model.clone(),
+                AbsoluteResidual,
+                &bench.calib.x,
+                &bench.calib.y,
+                PiServiceConfig {
+                    alpha,
+                    couple_coverage_alarm: opts.alarm_coupled,
+                    ..Default::default()
+                },
+                HealConfig { min_history: 60, cooldown_base: 100, ..Default::default() },
+            );
+            return ServeEngine::new(svc, make_fallbacks(), dims);
+        };
+        eprintln!(
+            "model {name}: resumed from {} at observation {}",
+            path.display(),
+            svc.observations()
+        );
+        let engine = ServeEngine::new(svc, make_fallbacks(), dims);
+        if !breakers.is_empty() {
+            match engine.restore_breakers(&breakers) {
+                Ok(()) => eprintln!("model {name}: restored {} breaker snapshots", breakers.len()),
+                Err(e) => {
+                    eprintln!("model {name}: breaker snapshots not restored ({e}); starting closed")
+                }
+            }
         }
-    }
+        engine
+    };
+
     ce_telemetry::set_enabled(true);
     ce_telemetry::trace::set_sample_rate(opts.trace_sample);
     let http_config = HttpServeConfig {
@@ -745,7 +720,7 @@ fn run_serve_http<M>(
     // model and a fresh fallback chain — the same recipe --resume uses.
     let mut registry = ModelRegistry::new(tuning).with_factory(Box::new({
         let model = model.clone();
-        let make_fallbacks = std::sync::Arc::clone(&make_fallbacks);
+        let make_fallbacks = Arc::clone(&make_fallbacks);
         move |ckpt: cardest::conformal::Checkpoint| {
             let breakers = ckpt.breakers.clone();
             let svc = SelfHealingService::restore(model.clone(), AbsoluteResidual, ckpt)?;
@@ -763,79 +738,29 @@ fn run_serve_http<M>(
         eprintln!("tenant rate limiting: {rate}/s per tenant, burst {}", opts.tenant_burst);
     }
     if opts.cache_cap > 0 {
-        eprintln!("interval cache: {} entries (epoch-keyed)", opts.cache_cap);
+        eprintln!("interval cache: {} entries (generation-keyed)", opts.cache_cap);
     }
-    let registry = std::sync::Arc::new(registry);
-    // Checkpointing goes through the registry entries, not the construction
-    // Arcs: after a hot reload the entry points at the new engine, and that
-    // is the state worth persisting.
-    let mut entries = vec![(
-        opts.checkpoint.clone(),
-        registry.register_shared(DEFAULT_MODEL, std::sync::Arc::clone(&engine)),
-    )];
-    let fresh_model = |m: M| {
-        SelfHealingService::new(
-            m,
-            AbsoluteResidual,
-            &calib_x,
-            &calib_y,
-            PiServiceConfig {
-                alpha,
-                couple_coverage_alarm: opts.alarm_coupled,
-                ..Default::default()
-            },
-            HealConfig { min_history: 60, cooldown_base: 100, ..Default::default() },
-        )
-    };
-    for name in &opts.models {
-        if name == DEFAULT_MODEL {
-            continue;
-        }
-        let path = PathBuf::from(format!("{}.{name}", opts.checkpoint.display()));
-        let loaded = if opts.resume && path.exists() {
-            match read_checkpoint(&path) {
-                Ok(ckpt) => Some(ckpt),
-                Err(e) => {
-                    eprintln!("model {name}: checkpoint unusable ({e}); cold-starting");
-                    None
-                }
-            }
-        } else {
-            None
-        };
-        let breakers = loaded.as_ref().map(|c| c.breakers.clone()).unwrap_or_default();
-        let svc_m = match loaded {
-            Some(ckpt) => {
-                match SelfHealingService::restore(model.clone(), AbsoluteResidual, ckpt) {
-                    Ok(svc) => {
-                        eprintln!(
-                            "model {name}: resumed from {} at observation {}",
-                            path.display(),
-                            svc.observations()
-                        );
-                        svc
-                    }
-                    Err(e) => {
-                        eprintln!("model {name}: checkpoint unusable ({e}); cold-starting");
-                        fresh_model(model.clone())
-                    }
-                }
-            }
-            None => fresh_model(model.clone()),
-        };
-        let engine_m = ServeEngine::new(svc_m, make_fallbacks(), dims);
-        if !breakers.is_empty() {
-            if let Err(e) = engine_m.restore_breakers(&breakers) {
-                eprintln!("model {name}: breaker snapshots not restored ({e})");
-            }
-        }
-        entries.push((path, registry.register(name, engine_m)));
-    }
-    let handle = match start_registry_server(std::sync::Arc::clone(&registry), listen, http_config)
-    {
+    let registry = Arc::new(registry);
+    // Checkpointing goes through the registry entries, not the engines
+    // built here: after a hot reload the entry points at the new engine,
+    // and that is the state worth persisting.
+    let names = std::iter::once(DEFAULT_MODEL)
+        .chain(opts.models.iter().map(String::as_str).filter(|&n| n != DEFAULT_MODEL));
+    let entries: Vec<_> = names
+        .map(|name| {
+            let path = if name == DEFAULT_MODEL {
+                opts.checkpoint.clone()
+            } else {
+                PathBuf::from(format!("{}.{name}", opts.checkpoint.display()))
+            };
+            let entry = registry.register(name, load_engine(name, &path));
+            (path, entry)
+        })
+        .collect();
+    let handle = match start_registry_server(Arc::clone(&registry), &opts.listen, http_config) {
         Ok(handle) => handle,
         Err(e) => {
-            eprintln!("cannot bind {listen}: {e}");
+            eprintln!("cannot bind {}: {e}", opts.listen);
             std::process::exit(1);
         }
     };
@@ -888,11 +813,8 @@ fn run_serve_http<M>(
 
 /// Writes the engine's full-chain checkpoint (healing state + breaker
 /// snapshots); failures are reported but never kill the server.
-fn write_engine_checkpoint<M>(
-    engine: &ServeEngine<M, AbsoluteResidual>,
-    path: &std::path::Path,
-    kind: &str,
-) where
+fn write_engine_checkpoint<M>(engine: &ServeEngine<M, AbsoluteResidual>, path: &Path, kind: &str)
+where
     M: Regressor + Clone + Send + Sync + 'static,
 {
     let ckpt = engine.checkpoint();
@@ -904,26 +826,6 @@ fn write_engine_checkpoint<M>(
             ckpt.breakers.len(),
         ),
         Err(e) => eprintln!("[obs {}] {kind} checkpoint FAILED: {e}", engine.observations()),
-    }
-}
-
-/// Writes a checkpoint with a one-line status report; checkpoint failures
-/// are reported but never kill the serving loop.
-fn checkpoint_now<M, S>(svc: &mut SelfHealingService<M, S>, path: &std::path::Path, kind: &str)
-where
-    M: Regressor + Clone,
-    S: ScoreFunction + Clone,
-{
-    match write_checkpoint(path, &svc.checkpoint()) {
-        Ok(()) => eprintln!(
-            "[obs {}] {kind} checkpoint -> {} (state {:?}, promotions {}, rollbacks {})",
-            svc.observations(),
-            path.display(),
-            svc.state(),
-            svc.promotion_count(),
-            svc.rollback_count(),
-        ),
-        Err(e) => eprintln!("[obs {}] {kind} checkpoint FAILED: {e}", svc.observations()),
     }
 }
 
@@ -971,7 +873,7 @@ fn print_stats_text(service: &ResilientService) {
 
 
 /// Options for `cardest-cli route` — the cluster router process.
-#[cfg_attr(test, derive(Debug))]
+#[derive(Debug)]
 struct RouteOptions {
     listen: String,
     /// `(name, addr)` pairs from repeated `--shard NAME=ADDR` flags.
@@ -986,137 +888,105 @@ struct RouteOptions {
     /// Trace head-sampling rate: trace one routed request in N (0 off,
     /// 1 everything).
     trace_sample: u64,
-    /// Replica set size per signature (1 = single-owner, PR 6 behavior).
+    /// Replica set size per signature (1 = single-owner).
     replicas: usize,
     /// Fixed hedge delay in ms; `None` leaves hedging off.
     hedge_ms: Option<u64>,
 }
 
-/// Outcome of parsing `route` arguments: run, or print usage and stop.
-#[cfg_attr(test, derive(Debug))]
-enum RouteArgs {
-    Help,
-    Run(RouteOptions),
+impl Default for RouteOptions {
+    fn default() -> Self {
+        Self {
+            listen: "127.0.0.1:8600".to_string(),
+            shards: Vec::new(),
+            vnodes: 64,
+            workers: 4,
+            retry_budget: 2,
+            deadline_ms: 2_000,
+            probe_interval_ms: 50,
+            fail_threshold: 3,
+            recover_threshold: 2,
+            trace_sample: ce_telemetry::trace::DEFAULT_SAMPLE_RATE,
+            replicas: 1,
+            hedge_ms: None,
+        }
+    }
 }
 
-const ROUTE_USAGE: &str = "usage: cardest-cli route --shard NAME=ADDR [--shard NAME=ADDR ...] \
-[--listen ADDR] [--vnodes N] [--workers N] [--retry-budget N] [--deadline-ms N] \
-[--probe-interval-ms N] [--fail-threshold N] [--recover-threshold N] \
-[--trace-sample N] [--replicas N] [--hedge-ms MS]\n\n\
-Fronts a fleet of shared-nothing `serve --listen` shards with a \
-consistent-hash router: each predict request's body hashes to a signature \
-that pins it to one shard, a background prober ejects shards after \
-consecutive /readyz failures and readmits them after consecutive successes, \
-and refused/failed legs fail over to the next ring candidate within a \
-bounded retry budget and deadline. Shards are keyed by NAME — restart a \
-shard anywhere (e.g. `serve --resume --listen :0`) and point the same name \
-at the new address without moving any keys.\n\n\
+/// One `--shard NAME=ADDR`: a non-empty name not seen before and a socket
+/// address.
+fn add_shard(opts: &mut RouteOptions, raw: &str) -> Result<(), String> {
+    let (name, addr) =
+        raw.split_once('=').ok_or_else(|| format!("takes NAME=ADDR, got `{raw}`"))?;
+    if name.is_empty() {
+        return Err(format!("needs a non-empty name in `{raw}`"));
+    }
+    let addr = addr.parse().map_err(|_| format!("`{name}` has a malformed address `{addr}`"))?;
+    if opts.shards.iter().any(|(n, _)| n == name) {
+        return Err(format!("`{name}` is a duplicate shard name"));
+    }
+    opts.shards.push((name.to_string(), addr));
+    Ok(())
+}
+
+static ROUTE: Command<RouteOptions> = Command {
+    name: "route",
+    flags: &[
+        Flag::valued("--shard", "NAME=ADDR", add_shard),
+        Flag::valued("--listen", "ADDR", |o, v| value(v).map(|v| o.listen = v)),
+        Flag::valued("--vnodes", "N", |o, v| value(v).map(|v| o.vnodes = v)),
+        Flag::valued("--workers", "N", |o, v| value(v).map(|v| o.workers = v)),
+        Flag::valued("--retry-budget", "N", |o, v| value(v).map(|v| o.retry_budget = v)),
+        Flag::valued("--deadline-ms", "N", |o, v| value(v).map(|v| o.deadline_ms = v)),
+        Flag::valued("--probe-interval-ms", "N", |o, v| value(v).map(|v| o.probe_interval_ms = v)),
+        Flag::valued("--fail-threshold", "N", |o, v| value(v).map(|v| o.fail_threshold = v)),
+        Flag::valued("--recover-threshold", "N", |o, v| value(v).map(|v| o.recover_threshold = v)),
+        Flag::valued("--trace-sample", "N", |o, v| value(v).map(|v| o.trace_sample = v)),
+        Flag::valued("--replicas", "N", |o, v| value(v).map(|v| o.replicas = v)),
+        Flag::valued("--hedge-ms", "MS", |o, v| value(v).map(|v| o.hedge_ms = Some(v))),
+    ],
+    about: "Fronts a fleet of shared-nothing `serve` shards with a \
+consistent-hash router; --shard is required and repeats once per shard. Each \
+predict request's body hashes to a signature that pins it to one shard, a \
+background prober ejects shards after consecutive /readyz failures and \
+readmits them after consecutive successes, and refused/failed legs fail over \
+to the next ring candidate within a bounded retry budget and deadline. Shards \
+are keyed by NAME — restart a shard anywhere (e.g. `serve --resume --listen \
+127.0.0.1:0`) and point the same name at the new address without moving any \
+keys.\n\n\
 --replicas N (default 1) keeps each signature's calibration truths on its \
 first N distinct ring candidates: predictions go to the primary (failover \
 prefers the backups), truth-carrying bodies fan out to the rest of the \
 replica set as idempotent /v1/observe posts, so a promoted backup serves \
 from warm state. --hedge-ms MS fires a second request at the first backup \
 when the primary has not answered within MS milliseconds (first response \
-wins); omit it to leave hedging off.";
-
-/// Pure argument parser for `route`; mirrors `parse_serve_args`' contract —
-/// every problem is an `Err`, never a warning-and-continue.
-fn parse_route_args(args: &[String]) -> Result<RouteArgs, String> {
-    let mut opts = RouteOptions {
-        listen: "127.0.0.1:8600".to_string(),
-        shards: Vec::new(),
-        vnodes: 64,
-        workers: 4,
-        retry_budget: 2,
-        deadline_ms: 2_000,
-        probe_interval_ms: 50,
-        fail_threshold: 3,
-        recover_threshold: 2,
-        trace_sample: ce_telemetry::trace::DEFAULT_SAMPLE_RATE,
-        replicas: 1,
-        hedge_ms: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| -> Result<String, String> {
-            args.get(i + 1).cloned().ok_or_else(|| format!("missing value for {}", args[i]))
-        };
-        fn number<T: std::str::FromStr>(flag: &str, raw: String) -> Result<T, String> {
-            raw.parse().map_err(|_| format!("{flag} takes a number, got `{raw}`"))
+wins); omit it to leave hedging off.",
+    check: |o| {
+        if o.shards.is_empty() {
+            return Err("route needs at least one --shard NAME=ADDR".to_string());
         }
-        match args[i].as_str() {
-            "--listen" => opts.listen = value(i)?,
-            "--shard" => {
-                let raw = value(i)?;
-                let (name, addr) = raw
-                    .split_once('=')
-                    .ok_or_else(|| format!("--shard takes NAME=ADDR, got `{raw}`"))?;
-                if name.is_empty() {
-                    return Err(format!("--shard needs a non-empty name in `{raw}`"));
-                }
-                let addr: std::net::SocketAddr = addr
-                    .parse()
-                    .map_err(|_| format!("--shard `{name}` has a malformed address `{addr}`"))?;
-                if opts.shards.iter().any(|(n, _)| n == name) {
-                    return Err(format!("duplicate shard name `{name}`"));
-                }
-                opts.shards.push((name.to_string(), addr));
-            }
-            "--vnodes" => opts.vnodes = number("--vnodes", value(i)?)?,
-            "--workers" => opts.workers = number("--workers", value(i)?)?,
-            "--retry-budget" => opts.retry_budget = number("--retry-budget", value(i)?)?,
-            "--deadline-ms" => opts.deadline_ms = number("--deadline-ms", value(i)?)?,
-            "--probe-interval-ms" => {
-                opts.probe_interval_ms = number("--probe-interval-ms", value(i)?)?
-            }
-            "--fail-threshold" => opts.fail_threshold = number("--fail-threshold", value(i)?)?,
-            "--recover-threshold" => {
-                opts.recover_threshold = number("--recover-threshold", value(i)?)?
-            }
-            "--trace-sample" => opts.trace_sample = number("--trace-sample", value(i)?)?,
-            "--replicas" => opts.replicas = number("--replicas", value(i)?)?,
-            "--hedge-ms" => opts.hedge_ms = Some(number("--hedge-ms", value(i)?)?),
-            "--help" | "-h" => return Ok(RouteArgs::Help),
-            other => return Err(format!("unknown route flag {other} (try route --help)")),
+        if o.replicas == 0 {
+            return Err("--replicas must be at least 1 (1 = single-owner)".to_string());
         }
-        i += 2;
-    }
-    if opts.shards.is_empty() {
-        return Err("route needs at least one --shard NAME=ADDR".to_string());
-    }
-    if opts.replicas == 0 {
-        return Err("--replicas must be at least 1 (1 = single-owner)".to_string());
-    }
-    if opts.hedge_ms == Some(0) {
-        return Err("--hedge-ms must be at least 1 millisecond".to_string());
-    }
-    if opts.vnodes == 0 {
-        return Err("--vnodes must be at least 1".to_string());
-    }
-    if opts.workers == 0 {
-        return Err("--workers must be at least 1".to_string());
-    }
-    if opts.fail_threshold == 0 || opts.recover_threshold == 0 {
-        return Err("hysteresis thresholds must be at least 1".to_string());
-    }
-    Ok(RouteArgs::Run(opts))
-}
+        if o.hedge_ms == Some(0) {
+            return Err("--hedge-ms must be at least 1 millisecond".to_string());
+        }
+        if o.vnodes == 0 {
+            return Err("--vnodes must be at least 1".to_string());
+        }
+        if o.workers == 0 {
+            return Err("--workers must be at least 1".to_string());
+        }
+        if o.fail_threshold == 0 || o.recover_threshold == 0 {
+            return Err("hysteresis thresholds must be at least 1".to_string());
+        }
+        Ok(())
+    },
+};
 
 /// `cardest-cli route`: runs the cluster router until SIGTERM/SIGINT, then
 /// drains and prints forwarding + fleet counters.
-fn run_route(args: &[String]) {
-    let opts = match parse_route_args(args) {
-        Ok(RouteArgs::Run(opts)) => opts,
-        Ok(RouteArgs::Help) => {
-            println!("{ROUTE_USAGE}");
-            return;
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            eprintln!("{ROUTE_USAGE}");
-            std::process::exit(2);
-        }
-    };
+fn run_route(opts: RouteOptions) {
     install_signal_handlers();
     ce_telemetry::set_enabled(true);
     ce_telemetry::trace::set_sample_rate(opts.trace_sample);
@@ -1205,51 +1075,35 @@ replicas {}, {hedge_text})",
 }
 
 /// Options for the `trace` subcommand.
-#[cfg_attr(test, derive(Debug))]
+#[derive(Debug)]
 struct TraceOptions {
     addr: String,
     json: bool,
 }
 
-/// Outcome of parsing `trace` arguments: run, or print usage and stop.
-#[cfg_attr(test, derive(Debug))]
-enum TraceArgs {
-    Help,
-    Run(TraceOptions),
+impl Default for TraceOptions {
+    fn default() -> Self {
+        Self { addr: "127.0.0.1:8600".to_string(), json: false }
+    }
 }
 
-const TRACE_USAGE: &str = "usage: cardest-cli trace [--addr HOST:PORT] [--json]\n\n\
-Fetches GET /debug/trace from a running `serve --listen` shard or `route` \
+static TRACE: Command<TraceOptions> = Command {
+    name: "trace",
+    flags: &[
+        Flag::valued("--addr", "HOST:PORT", |o, v| value(v).map(|v| o.addr = v)),
+        Flag::switch("--json", |o, _| {
+            o.json = true;
+            Ok(())
+        }),
+    ],
+    about: "Fetches GET /debug/trace from a running `serve` shard or `route` \
 router and pretty-prints the flight recorder: the last traced requests with \
 per-stage latency attribution (park, dispatch, queue, window, infer, write, \
 route, network ...) and the structured event log (breaker transitions, \
 coverage alarms, shard ejections, sheds). --json dumps the raw snapshot \
-instead.";
-
-/// Pure argument parser for `trace`; same contract as the other subcommand
-/// parsers — every problem is an `Err`.
-fn parse_trace_args(args: &[String]) -> Result<TraceArgs, String> {
-    let mut opts = TraceOptions { addr: "127.0.0.1:8600".to_string(), json: false };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                opts.addr = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or_else(|| "missing value for --addr".to_string())?;
-                i += 2;
-            }
-            "--json" => {
-                opts.json = true;
-                i += 1;
-            }
-            "--help" | "-h" => return Ok(TraceArgs::Help),
-            other => return Err(format!("unknown trace flag {other} (try trace --help)")),
-        }
-    }
-    Ok(TraceArgs::Run(opts))
-}
+instead.",
+    check: |_| Ok(()),
+};
 
 /// Renders nanoseconds as a human-scaled duration.
 fn fmt_ns(ns: f64) -> String {
@@ -1335,19 +1189,7 @@ fn print_trace_snapshot(text: &str) -> Result<(), serde_json::Error> {
 }
 
 /// `cardest-cli trace`: fetch and render a running server's flight recorder.
-fn run_trace(args: &[String]) {
-    let opts = match parse_trace_args(args) {
-        Ok(TraceArgs::Run(opts)) => opts,
-        Ok(TraceArgs::Help) => {
-            println!("{TRACE_USAGE}");
-            return;
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            eprintln!("{TRACE_USAGE}");
-            std::process::exit(2);
-        }
-    };
+fn run_trace(opts: TraceOptions) {
     let addr: std::net::SocketAddr = match opts.addr.parse() {
         Ok(addr) => addr,
         Err(_) => {
@@ -1386,23 +1228,18 @@ fn run_trace(args: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("stats") {
-        run_stats(&args[1..]);
-        return;
+    let rest = args.get(1..).unwrap_or_default();
+    match args.first().map(String::as_str) {
+        Some("stats") => run_stats(STATS.options(rest)),
+        Some("serve") => run_serve(SERVE.options(rest)),
+        Some("route") => run_route(ROUTE.options(rest)),
+        Some("trace") => run_trace(TRACE.options(rest)),
+        _ => run_interactive(INTERACTIVE.options(&args)),
     }
-    if args.first().map(String::as_str) == Some("trace") {
-        run_trace(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        run_serve(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("route") {
-        run_route(&args[1..]);
-        return;
-    }
-    let opts = parse_args();
+}
+
+/// The interactive mode: train, calibrate, then answer queries from stdin.
+fn run_interactive(opts: Options) {
     let seed = 42;
     let Some(table) = cardest::datagen::by_name(&opts.dataset, opts.rows, seed) else {
         eprintln!("unknown dataset `{}` (dmv|census|forest|power)", opts.dataset);
@@ -1525,6 +1362,22 @@ mod tests {
         parts.iter().map(|s| s.to_string()).collect()
     }
 
+    type ServeArgs = Args<ServeOptions>;
+    type RouteArgs = Args<RouteOptions>;
+    type TraceArgs = Args<TraceOptions>;
+
+    fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
+        SERVE.parse(args)
+    }
+
+    fn parse_route_args(args: &[String]) -> Result<RouteArgs, String> {
+        ROUTE.parse(args)
+    }
+
+    fn parse_trace_args(args: &[String]) -> Result<TraceArgs, String> {
+        TRACE.parse(args)
+    }
+
     #[test]
     fn serve_args_defaults() {
         let ServeArgs::Run(opts) = parse_serve_args(&[]).unwrap() else {
@@ -1532,7 +1385,7 @@ mod tests {
         };
         assert_eq!(opts.dataset, "dmv");
         assert_eq!(opts.every, 200);
-        assert!(opts.listen.is_none());
+        assert_eq!(opts.listen, "127.0.0.1:8080");
         assert!(!opts.resume);
         assert!(!opts.alarm_coupled);
     }
@@ -1544,7 +1397,12 @@ mod tests {
         // A typo'd flag before valid ones must also fail, not be skipped.
         assert!(parse_serve_args(&argv(&["--steam", "500"])).is_err());
         // Removed flags are rejected like any other unknown flag.
-        for removed in [["--read-tick-ms", "5"], ["--pollers", "1"]] {
+        for removed in [
+            ["--read-tick-ms", "5"],
+            ["--pollers", "1"],
+            ["--stream", "2000"],
+            ["--drift-at", "100"],
+        ] {
             let err = parse_serve_args(&argv(&removed)).unwrap_err();
             assert!(err.contains(removed[0]), "error names the flag: {err}");
         }
@@ -1552,8 +1410,8 @@ mod tests {
 
     #[test]
     fn serve_args_missing_value_is_an_error() {
-        let err = parse_serve_args(&argv(&["--stream"])).unwrap_err();
-        assert!(err.contains("--stream"), "{err}");
+        let err = parse_serve_args(&argv(&["--rows"])).unwrap_err();
+        assert!(err.contains("--rows"), "{err}");
         assert!(parse_serve_args(&argv(&["--listen"])).is_err());
     }
 
@@ -1685,7 +1543,7 @@ mod tests {
         let ServeArgs::Run(opts) = parse_serve_args(&args).unwrap() else {
             panic!("flags should parse to a run");
         };
-        assert_eq!(opts.listen.as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(opts.listen, "127.0.0.1:0");
         assert_eq!(opts.workers, 8);
         assert_eq!(opts.queue, 256);
         assert_eq!(opts.max_batch, 32);

@@ -223,16 +223,16 @@ fn route(req: &Request, router: &Router, draining: &AtomicBool) -> Response {
             }
         }
         ("GET", "/metrics") => {
-            publish_metrics(router);
             let mut body = if ce_telemetry::enabled() {
                 ce_telemetry::global().to_prometheus()
             } else {
-                metrics_text(router)
+                String::new()
             };
+            body.push_str(&cluster_metrics_text(router));
             body.push_str(&fleet_metrics(router));
-            // Either branch is the Prometheus text exposition format, so
-            // both must carry the `version=0.0.4` content type — scrapers
-            // key parsing off it.
+            // The body is the Prometheus text exposition format with
+            // telemetry on or off, so both carry the `version=0.0.4`
+            // content type — scrapers key parsing off it.
             Response::new(200)
                 .header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
                 .body(body)
@@ -540,75 +540,44 @@ fn inject_shard_label(body: &str, shard: &str) -> String {
     out
 }
 
-/// Mirrors router + fleet counters into the `ce-telemetry` registry (scraped
-/// by `/metrics` when telemetry is enabled).
-fn publish_metrics(router: &Router) {
-    if !ce_telemetry::enabled() {
-        return;
-    }
-    let stats = router.stats();
-    ce_telemetry::gauge("cluster.requests").set(stats.requests as f64);
-    ce_telemetry::gauge("cluster.served_primary").set(stats.served_primary as f64);
-    ce_telemetry::gauge("cluster.served_failover").set(stats.served_failover as f64);
-    ce_telemetry::gauge("cluster.leg_errors").set(stats.leg_errors as f64);
-    ce_telemetry::gauge("cluster.pool_stale").set(stats.pool_stale as f64);
-    ce_telemetry::gauge("cluster.leg_sheds").set(stats.leg_sheds as f64);
-    ce_telemetry::gauge("cluster.exhausted").set(stats.exhausted as f64);
-    ce_telemetry::gauge("cluster.deadline_exceeded").set(stats.deadline_exceeded as f64);
-    ce_telemetry::gauge("cluster.hedges_fired").set(stats.hedges_fired as f64);
-    ce_telemetry::gauge("cluster.hedge_wins").set(stats.hedge_wins as f64);
-    ce_telemetry::gauge("cluster.hedge_cancelled").set(stats.hedge_cancelled as f64);
-    ce_telemetry::gauge("cluster.truth_fanouts").set(stats.truth_fanouts as f64);
-    ce_telemetry::gauge("cluster.truth_replicated").set(stats.truth_replicated as f64);
-    ce_telemetry::gauge("cluster.fleet_scrape_timeouts")
-        .set(FLEET_SCRAPE_TIMEOUTS.load(Ordering::Relaxed) as f64);
-    for (name, lag) in router.truth_lag() {
-        ce_telemetry::gauge(&format!("cluster.truth_lag.{name}")).set(lag as f64);
-    }
-    let fleet = router.fleet().stats();
-    ce_telemetry::gauge("cluster.live_shards").set(router.fleet().live_count() as f64);
-    ce_telemetry::gauge("cluster.ejections").set(fleet.ejections as f64);
-    ce_telemetry::gauge("cluster.readmissions").set(fleet.readmissions as f64);
-    ce_telemetry::gauge("cluster.probe_failed").set(fleet.probe_failed as f64);
-}
-
-/// Plain-text fallback for `/metrics` when telemetry is globally off: the
-/// same counters, one `name value` per line.
-fn metrics_text(router: &Router) -> String {
+/// The router's own series as Prometheus text: its forwarding and fleet
+/// counters, and one `cardest_cluster_truth_lag{shard="…"}` family. The
+/// router owns these numbers, so `/metrics` renders them from here with
+/// telemetry on or off, under the same names either way.
+fn cluster_metrics_text(router: &Router) -> String {
     let stats = router.stats();
     let fleet = router.fleet().stats();
-    let mut out = String::with_capacity(512);
+    let mut out = String::with_capacity(1024);
     for (name, value) in [
-        ("cluster_requests", stats.requests),
-        ("cluster_served_primary", stats.served_primary),
-        ("cluster_served_failover", stats.served_failover),
-        ("cluster_leg_errors", stats.leg_errors),
-        ("cluster_pool_stale", stats.pool_stale),
-        ("cluster_leg_sheds", stats.leg_sheds),
-        ("cluster_exhausted", stats.exhausted),
-        ("cluster_deadline_exceeded", stats.deadline_exceeded),
-        ("cluster_hedges_fired", stats.hedges_fired),
-        ("cluster_hedge_wins", stats.hedge_wins),
-        ("cluster_hedge_cancelled", stats.hedge_cancelled),
-        ("cluster_truth_fanouts", stats.truth_fanouts),
-        ("cluster_truth_replicated", stats.truth_replicated),
-        ("cluster_fleet_scrape_timeouts", FLEET_SCRAPE_TIMEOUTS.load(Ordering::Relaxed)),
-        ("cluster_live_shards", router.fleet().live_count() as u64),
-        ("cluster_ejections", fleet.ejections),
-        ("cluster_readmissions", fleet.readmissions),
-        ("cluster_probe_failed", fleet.probe_failed),
+        ("requests", stats.requests),
+        ("served_primary", stats.served_primary),
+        ("served_failover", stats.served_failover),
+        ("leg_errors", stats.leg_errors),
+        ("pool_stale", stats.pool_stale),
+        ("leg_sheds", stats.leg_sheds),
+        ("exhausted", stats.exhausted),
+        ("deadline_exceeded", stats.deadline_exceeded),
+        ("hedges_fired", stats.hedges_fired),
+        ("hedge_wins", stats.hedge_wins),
+        ("hedge_cancelled", stats.hedge_cancelled),
+        ("truth_fanouts", stats.truth_fanouts),
+        ("truth_replicated", stats.truth_replicated),
+        ("fleet_scrape_timeouts", FLEET_SCRAPE_TIMEOUTS.load(Ordering::Relaxed)),
+        ("live_shards", router.fleet().live_count() as u64),
+        ("ejections", fleet.ejections),
+        ("readmissions", fleet.readmissions),
+        ("probe_failed", fleet.probe_failed),
     ] {
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(&value.to_string());
-        out.push('\n');
+        let name = format!("cardest_cluster_{name}");
+        out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
     }
-    for (name, lag) in router.truth_lag() {
-        out.push_str("cluster_truth_lag{shard=\"");
-        out.push_str(&ce_telemetry::escape_label_value(&name));
-        out.push_str("\"} ");
-        out.push_str(&lag.to_string());
-        out.push('\n');
+    let lag = router.truth_lag();
+    if !lag.is_empty() {
+        out.push_str("# TYPE cardest_cluster_truth_lag gauge\n");
+    }
+    for (shard, value) in lag {
+        let shard = ce_telemetry::escape_label_value(&shard);
+        out.push_str(&format!("cardest_cluster_truth_lag{{shard=\"{shard}\"}} {value}\n"));
     }
     out
 }

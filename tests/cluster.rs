@@ -537,7 +537,7 @@ fn a_dribbling_shard_cannot_stall_fleet_metrics() {
     let body = String::from_utf8_lossy(&resp.body).into_owned();
     let timeouts: u64 = body
         .lines()
-        .find_map(|line| line.strip_prefix("cluster_fleet_scrape_timeouts "))
+        .find_map(|line| line.strip_prefix("cardest_cluster_fleet_scrape_timeouts "))
         .expect("fleet_scrape_timeouts line")
         .trim()
         .parse()

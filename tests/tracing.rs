@@ -2,7 +2,7 @@
 //! ID propagation across the router→shard hop, per-stage latency
 //! attribution, the anomaly flight recorder, and the observability
 //! satellites (Prometheus content type, fleet-labeled aggregation, poller
-//! counters).
+//! counters, the router's series names).
 //!
 //! The trace rings, sample rate, and anomaly window are process-global by
 //! design (one flight recorder per process), so every test here serializes
@@ -18,7 +18,8 @@ use cardest::conformal::{
 use cardest::router::{start_cluster_router, ClusterRouterConfig, ClusterRouterHandle};
 use cardest::serve::{start_server, HttpServeConfig, ServeEngine, ServeHandle};
 use cardest::server::{
-    HealthConfig, HttpClient, HttpServer, Request, Response, ServerConfig, TRACE_HEADER,
+    HealthConfig, HttpClient, HttpServer, Request, Response, RouterConfig, ServerConfig,
+    TRACE_HEADER,
 };
 use ce_telemetry::trace;
 
@@ -395,4 +396,89 @@ fn router_metrics_aggregate_the_fleet_with_escaped_labels() {
     router.drain();
     hostile.shutdown();
     shard.drain();
+}
+
+/// The router renders its own series through one function, so `/metrics`
+/// names them `cardest_cluster_*` with telemetry on and off alike, and the
+/// truth-lag family labels each shard by its name verbatim: shards `a.b`
+/// and `a-b` stay two series instead of colliding in a mangled metric name.
+#[test]
+fn router_cluster_series_have_the_same_names_with_telemetry_on_and_off() {
+    let _guard = trace_lock();
+    trace::reset();
+    trace::set_sample_rate(0);
+    let was_enabled = ce_telemetry::enabled();
+    // Stub shards answer predicts but reject the truth fan-out, so every
+    // replicated truth is charged to the backup's lag.
+    let stub = || {
+        HttpServer::bind(
+            "127.0.0.1:0",
+            ServerConfig::default(),
+            Arc::new(|req: &Request| match (req.method, req.path()) {
+                ("GET", "/readyz") => Response::text(200, "ready"),
+                ("POST", "/v1/predict") => Response::json(200, "{\"results\":[]}"),
+                ("POST", "/v1/observe") => Response::json(400, "{\"error\":\"rejected\"}"),
+                _ => Response::text(404, "nope"),
+            }),
+        )
+        .expect("bind stub shard")
+    };
+    let (dotted, dashed) = (stub(), stub());
+    let router = start_cluster_router(
+        &[("a.b".to_string(), dotted.local_addr()), ("a-b".to_string(), dashed.local_addr())],
+        "127.0.0.1:0",
+        ClusterRouterConfig {
+            router: RouterConfig { replicas: 2, ..RouterConfig::default() },
+            ..ClusterRouterConfig::default()
+        },
+    )
+    .expect("bind router");
+    let mut client = HttpClient::connect(router.local_addr()).expect("connect");
+    for i in 0..16 {
+        let body = format!("{{\"features\":[[{i}]],\"truths\":[0.5]}}");
+        assert_eq!(client.post("/v1/predict", body.as_bytes()).expect("predict").status, 200);
+    }
+    let scrape = |client: &mut HttpClient| {
+        let resp = client.get("/metrics").expect("scrape");
+        assert_eq!(resp.status, 200);
+        String::from_utf8_lossy(&resp.body).into_owned()
+    };
+    let lag_series = [
+        "cardest_cluster_truth_lag{shard=\"a.b\"}",
+        "cardest_cluster_truth_lag{shard=\"a-b\"}",
+    ];
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !lag_series.iter().all(|s| scrape(&mut client).contains(s)) {
+        assert!(Instant::now() < deadline, "both shards should lag:\n{}", scrape(&mut client));
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // `cluster.probe_us.{name}` is the health prober's registry-only
+    // histogram, rendered only with telemetry on.
+    let cluster_names = |body: &str| -> std::collections::BTreeSet<String> {
+        body.lines()
+            .filter(|line| !line.starts_with('#'))
+            .filter_map(|line| line.split(['{', ' ']).next())
+            .filter(|name| name.starts_with("cardest_cluster_"))
+            .filter(|name| !name.starts_with("cardest_cluster_probe_us"))
+            .map(str::to_string)
+            .collect()
+    };
+    let mut bodies = Vec::new();
+    for telemetry_on in [true, false] {
+        ce_telemetry::set_enabled(telemetry_on);
+        bodies.push(scrape(&mut client));
+    }
+    ce_telemetry::set_enabled(was_enabled);
+    let (on, off) = (cluster_names(&bodies[0]), cluster_names(&bodies[1]));
+    assert!(on.contains("cardest_cluster_requests"), "{on:?}");
+    assert!(on.contains("cardest_cluster_truth_lag"), "{on:?}");
+    assert_eq!(on, off, "telemetry on and off must name the same series");
+    for body in &bodies {
+        for series in lag_series {
+            assert!(body.contains(series), "missing {series}:\n{body}");
+        }
+    }
+    router.drain();
+    dotted.shutdown();
+    dashed.shutdown();
 }

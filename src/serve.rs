@@ -55,6 +55,7 @@
 //! always describe one state, and the interval cache (DESIGN.md §15) keys
 //! bodies by the generation.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
@@ -489,14 +490,22 @@ where
 /// round-trip `Display` (bit-exact through parse), non-finite become the
 /// strings `"inf"` / `"-inf"` / `"nan"` since JSON has no literal for them.
 pub fn json_f64(value: f64) -> String {
+    let mut out = String::new();
+    write_json_f64(&mut out, value);
+    out
+}
+
+/// Appends [`json_f64`]`(value)` to `out` without a temporary `String`.
+fn write_json_f64(out: &mut String, value: f64) {
     if value.is_finite() {
-        format!("{value}")
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{value}");
     } else if value.is_nan() {
-        "\"nan\"".to_string()
+        out.push_str("\"nan\"");
     } else if value > 0.0 {
-        "\"inf\"".to_string()
+        out.push_str("\"inf\"");
     } else {
-        "\"-inf\"".to_string()
+        out.push_str("\"-inf\"");
     }
 }
 
@@ -505,13 +514,18 @@ pub fn json_f64(value: f64) -> String {
 pub fn value_to_f64(value: &serde_json::Value) -> Result<f64, String> {
     match value {
         serde_json::Value::Num(n) => Ok(*n),
-        serde_json::Value::Str(s) => match s.as_str() {
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            "nan" => Ok(f64::NAN),
-            other => Err(format!("not a number: `{other}`")),
-        },
+        serde_json::Value::Str(s) => marker_f64(s),
         _ => Err("expected number".to_string()),
+    }
+}
+
+/// The value of a non-finite marker string.
+fn marker_f64(s: &str) -> Result<f64, String> {
+    match s {
+        "inf" => Ok(f64::INFINITY),
+        "-inf" => Ok(f64::NEG_INFINITY),
+        "nan" => Ok(f64::NAN),
+        other => Err(format!("not a number: `{other}`")),
     }
 }
 
@@ -563,36 +577,40 @@ pub(crate) fn parse_truth_id(text: &str) -> Option<u64> {
 pub(crate) type PredictBody = (Vec<Vec<f32>>, Option<Vec<f64>>);
 
 /// Parses the predict request body: `{"features": [[f32...]...],
-/// "truths": [f64...]?}`.
+/// "truths": [f64...]?}`. Numbers are JSON numbers or the non-finite
+/// markers [`json_f64`] writes; rows may be ragged or empty.
+///
+/// One pass over the bytes with the vendored tokenizer
+/// ([`serde_json::Reader`]), so it accepts and converts exactly what
+/// `serde_json::parse` followed by a walk of the tree would: unknown fields
+/// are skipped under the same nesting limit, the first of duplicate keys
+/// wins, and trailing bytes are an error. Each feature row is one
+/// allocation of exactly its own length.
 pub(crate) fn parse_predict_body(body: &[u8]) -> Result<PredictBody, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let value = serde_json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let features_value = value.field("features").map_err(|e| e.to_string())?;
-    let serde_json::Value::Array(rows) = features_value else {
-        return Err("`features` must be an array of arrays".to_string());
-    };
-    let mut features = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let serde_json::Value::Array(nums) = row else {
-            return Err(format!("`features[{i}]` must be an array of numbers"));
-        };
-        let mut q = Vec::with_capacity(nums.len());
-        for n in nums {
-            q.push(value_to_f64(n).map_err(|e| format!("`features[{i}]`: {e}"))? as f32);
-        }
-        features.push(q);
+    let mut r = serde_json::Reader::new(text);
+    if r.peek() != Some(b'{') {
+        r.skip_value(0).and_then(|()| r.finish()).map_err(invalid_json)?;
+        return Err(serde_json::Error::new("expected object with field `features`").to_string());
     }
-    let truths = match value.field("truths") {
-        Err(_) => None,
-        Ok(serde_json::Value::Array(vals)) => {
-            let mut t = Vec::with_capacity(vals.len());
-            for (i, v) in vals.iter().enumerate() {
-                t.push(value_to_f64(v).map_err(|e| format!("`truths[{i}]`: {e}"))?);
+    r.open(0).map_err(invalid_json)?;
+    let mut features = None;
+    let mut truths = None;
+    if !r.eat(b'}') {
+        loop {
+            match &*r.key().map_err(invalid_json)? {
+                "features" if features.is_none() => features = Some(read_features(&mut r)?),
+                "truths" if truths.is_none() => truths = Some(read_truths(&mut r)?),
+                _ => r.skip_value(1).map_err(invalid_json)?,
             }
-            Some(t)
+            if !r.separator(b'}').map_err(invalid_json)? {
+                break;
+            }
         }
-        Ok(_) => return Err("`truths` must be an array of numbers".to_string()),
-    };
+    }
+    r.finish().map_err(invalid_json)?;
+    let features = features
+        .ok_or_else(|| serde_json::Error::new("missing field `features`").to_string())?;
     if let Some(t) = &truths {
         if t.len() != features.len() {
             return Err(format!(
@@ -603,6 +621,85 @@ pub(crate) fn parse_predict_body(body: &[u8]) -> Result<PredictBody, String> {
         }
     }
     Ok((features, truths))
+}
+
+fn invalid_json(e: serde_json::Error) -> String {
+    format!("invalid JSON: {e}")
+}
+
+/// Reads the `features` value: an array of number arrays.
+fn read_features(r: &mut serde_json::Reader<'_>) -> Result<Vec<Vec<f32>>, String> {
+    if r.peek() != Some(b'[') {
+        return Err("`features` must be an array of arrays".to_string());
+    }
+    r.open(1).map_err(invalid_json)?;
+    let mut rows: Vec<Vec<f32>> = Vec::new();
+    if r.eat(b']') {
+        return Ok(rows);
+    }
+    // Rows are read into one reused buffer, sized from the first row's
+    // comma count, and copied out at their exact length: one allocation
+    // per row, and no row reserves more than it holds.
+    let mut buf: Vec<f32> = Vec::new();
+    loop {
+        let i = rows.len();
+        if r.peek() != Some(b'[') {
+            return Err(format!("`features[{i}]` must be an array of numbers"));
+        }
+        r.open(2).map_err(invalid_json)?;
+        if i == 0 {
+            let commas =
+                r.rest().bytes().take_while(|&b| b != b']').filter(|&b| b == b',').count();
+            buf.reserve(commas + 1);
+        }
+        buf.clear();
+        read_numbers(r, |v| buf.push(v as f32), |_, e| format!("`features[{i}]`: {e}"))?;
+        rows.push(buf.to_vec());
+        if !r.separator(b']').map_err(invalid_json)? {
+            return Ok(rows);
+        }
+    }
+}
+
+/// Reads the `truths` value: one number array.
+fn read_truths(r: &mut serde_json::Reader<'_>) -> Result<Vec<f64>, String> {
+    if r.peek() != Some(b'[') {
+        return Err("`truths` must be an array of numbers".to_string());
+    }
+    r.open(1).map_err(invalid_json)?;
+    let mut truths = Vec::new();
+    read_numbers(r, |v| truths.push(v), |j, e| format!("`truths[{j}]`: {e}"))?;
+    Ok(truths)
+}
+
+/// Reads a number array whose `[` is consumed, through its `]`, passing
+/// each element to `push`. `field` words a bad element's error from its
+/// index and the reason.
+fn read_numbers(
+    r: &mut serde_json::Reader<'_>,
+    mut push: impl FnMut(f64),
+    field: impl Fn(usize, String) -> String,
+) -> Result<(), String> {
+    if r.eat(b']') {
+        return Ok(());
+    }
+    for j in 0.. {
+        let value = match r.peek() {
+            None => return Err(invalid_json(serde_json::Error::new("unexpected end of input"))),
+            Some(b'"') => {
+                marker_f64(&r.string().map_err(invalid_json)?).map_err(|e| field(j, e))?
+            }
+            Some(b'n' | b't' | b'f' | b'[' | b'{') => {
+                return Err(field(j, "expected number".to_string()))
+            }
+            Some(_) => r.number().map_err(invalid_json)?,
+        };
+        push(value);
+        if !r.separator(b']').map_err(invalid_json)? {
+            break;
+        }
+    }
+    Ok(())
 }
 
 /// Renders a batch of interval results as the predict response body:
@@ -617,7 +714,9 @@ pub(crate) fn render_predict_body(
         ServiceMode::Stable => "stable",
         ServiceMode::Drifted => "drifted",
     };
-    let mut body = String::with_capacity(64 + results.len() * 48);
+    // 64 bytes hold an interval whose endpoints print in up to 24
+    // characters each, so a typical body is written without growing.
+    let mut body = String::with_capacity(32 + results.len() * 64);
     body.push_str("{\"mode\":\"");
     body.push_str(mode);
     body.push_str("\",\"results\":[");
@@ -628,9 +727,9 @@ pub(crate) fn render_predict_body(
         match result {
             Ok(iv) => {
                 body.push_str("{\"lo\":");
-                body.push_str(&json_f64(iv.lo));
+                write_json_f64(&mut body, iv.lo);
                 body.push_str(",\"hi\":");
-                body.push_str(&json_f64(iv.hi));
+                write_json_f64(&mut body, iv.hi);
                 body.push('}');
             }
             Err(e) => {
@@ -708,5 +807,407 @@ mod tests {
         assert!(dedupe.claim(7), "evicted id is claimable again");
         let recent = 1_000 + TruthDedupe::CAP as u64 - 1;
         assert!(!dedupe.claim(recent), "recent id still deduplicated");
+    }
+}
+
+/// The predict wire format against reference implementations built the
+/// plain way: a body parsed into a `serde_json::Value` tree and walked, and
+/// a response concatenated from `json_f64` strings.
+///
+/// `parse_predict_body` reads the body in one pass and `render_predict_body`
+/// writes floats in place; both must agree with the references bit for bit
+/// (bodies) and byte for byte (responses). Generated bodies cover random
+/// row counts and widths, ragged and empty rows, whitespace, key order,
+/// unknown, duplicate and escaped keys, truths, the non-finite markers and
+/// nesting around the depth limit; byte-mutated copies cover the error
+/// paths, where both parsers must reject.
+#[cfg(test)]
+mod wire_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// The tree-based parser `parse_predict_body` replaced.
+    fn reference_parse(body: &[u8]) -> Result<PredictBody, String> {
+        let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+        let value = serde_json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+        let features_value = value.field("features").map_err(|e| e.to_string())?;
+        let serde_json::Value::Array(rows) = features_value else {
+            return Err("`features` must be an array of arrays".to_string());
+        };
+        let mut features = Vec::with_capacity(rows.len());
+        for (i, row) in rows.iter().enumerate() {
+            let serde_json::Value::Array(nums) = row else {
+                return Err(format!("`features[{i}]` must be an array of numbers"));
+            };
+            let mut q = Vec::with_capacity(nums.len());
+            for n in nums {
+                q.push(value_to_f64(n).map_err(|e| format!("`features[{i}]`: {e}"))? as f32);
+            }
+            features.push(q);
+        }
+        let truths = match value.field("truths") {
+            Err(_) => None,
+            Ok(serde_json::Value::Array(vals)) => {
+                let mut t = Vec::with_capacity(vals.len());
+                for (i, v) in vals.iter().enumerate() {
+                    t.push(value_to_f64(v).map_err(|e| format!("`truths[{i}]`: {e}"))?);
+                }
+                Some(t)
+            }
+            Ok(_) => return Err("`truths` must be an array of numbers".to_string()),
+        };
+        if let Some(t) = &truths {
+            if t.len() != features.len() {
+                return Err(format!(
+                    "`truths` length {} != `features` length {}",
+                    t.len(),
+                    features.len()
+                ));
+            }
+        }
+        Ok((features, truths))
+    }
+
+    /// The `json_f64`-concatenating renderer `render_predict_body` replaced.
+    fn reference_render(
+        mode: ServiceMode,
+        results: &[Result<PredictionInterval, CardEstError>],
+    ) -> String {
+        let mode = match mode {
+            ServiceMode::Stable => "stable",
+            ServiceMode::Drifted => "drifted",
+        };
+        let mut body = String::new();
+        body.push_str("{\"mode\":\"");
+        body.push_str(mode);
+        body.push_str("\",\"results\":[");
+        for (i, result) in results.iter().enumerate() {
+            if i > 0 {
+                body.push(',');
+            }
+            match result {
+                Ok(iv) => {
+                    body.push_str("{\"lo\":");
+                    body.push_str(&json_f64(iv.lo));
+                    body.push_str(",\"hi\":");
+                    body.push_str(&json_f64(iv.hi));
+                    body.push('}');
+                }
+                Err(e) => {
+                    body.push_str("{\"error\":");
+                    body.push_str(&serde_json::to_string(&e.to_string()).unwrap());
+                    body.push('}');
+                }
+            }
+        }
+        body.push_str("]}");
+        body
+    }
+
+    /// Bit patterns of a parse result, so NaN rows compare equal to themselves.
+    type Bits = (Vec<Vec<u32>>, Option<Vec<u64>>);
+
+    fn bits(parsed: &Result<PredictBody, String>) -> Result<Bits, &str> {
+        match parsed {
+            Ok((features, truths)) => Ok((
+                features.iter().map(|row| row.iter().map(|v| v.to_bits()).collect()).collect(),
+                truths.as_ref().map(|t| t.iter().map(|v| v.to_bits()).collect()),
+            )),
+            Err(e) => Err(e.as_str()),
+        }
+    }
+
+    /// Optional whitespace.
+    fn ws(rng: &mut StdRng, out: &mut String) {
+        for _ in 0..rng.gen_range(0..3usize).saturating_sub(1) {
+            out.push(*[' ', '\t', '\n', '\r'].choose(rng).unwrap());
+        }
+    }
+
+    /// One wire number: a JSON number in one of several spellings, or a
+    /// non-finite marker string (sometimes spelled with escapes).
+    fn number(rng: &mut StdRng) -> String {
+        let v: f64 = match rng.gen_range(0..10u32) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(rng.gen_range(1..1u64 << 52)),
+            3 => f64::from(f32::MAX) * rng.gen_range(0.99..1.01),
+            4 => rng.gen_range(-1e6..1e6f64).round(),
+            5 => f64::from_bits(rng.gen::<u64>()),
+            _ => rng.gen_range(-1.0..1.0f64),
+        };
+        if !v.is_finite() {
+            return json_f64(v);
+        }
+        match rng.gen_range(0..12u32) {
+            0 => "\"inf\"".to_string(),
+            1 => "\"-inf\"".to_string(),
+            2 => "\"nan\"".to_string(),
+            3 => "\"\\u0069nf\"".to_string(),
+            4 => format!("{v:e}"),
+            5 => format!("{v:E}"),
+            6 if (v as f32).is_finite() => format!("{}", v as f32),
+            7 => format!("{v:.3}"),
+            _ => format!("{v}"),
+        }
+    }
+
+    fn number_array(rng: &mut StdRng, len: usize, out: &mut String) {
+        out.push('[');
+        for j in 0..len {
+            if j > 0 {
+                out.push(',');
+            }
+            ws(rng, out);
+            out.push_str(&number(rng));
+            ws(rng, out);
+        }
+        out.push(']');
+    }
+
+    /// A JSON value of any kind, nested up to `depth` more levels.
+    fn any_value(rng: &mut StdRng, depth: usize, out: &mut String) {
+        let kind = if depth == 0 { rng.gen_range(0..4u32) } else { rng.gen_range(0..6u32) };
+        match kind {
+            0 => out.push_str(["null", "true", "false"].choose(rng).unwrap()),
+            1 => out.push_str(&number(rng)),
+            2 => {
+                let strings = ["\"\"", "\"x\"", "\"a\\\"b\\\\c\"", "\"\\u00e9\\n\"", "\"é]\""];
+                out.push_str(strings.choose(rng).unwrap());
+            }
+            3 => out.push_str(&format!("{}", rng.gen_range(-5..5i32))),
+            4 => {
+                out.push('[');
+                for j in 0..rng.gen_range(0..3usize) {
+                    if j > 0 {
+                        out.push(',');
+                    }
+                    ws(rng, out);
+                    any_value(rng, depth - 1, out);
+                }
+                out.push(']');
+            }
+            _ => {
+                out.push('{');
+                for j in 0..rng.gen_range(0..3usize) {
+                    if j > 0 {
+                        out.push(',');
+                    }
+                    let keys = ["\"k\"", "\"\"", "\"features\"", "\"truths\""];
+                    out.push_str(keys.choose(rng).unwrap());
+                    ws(rng, out);
+                    out.push(':');
+                    any_value(rng, depth - 1, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    /// A well-formed predict body, sometimes with a deliberate field-level
+    /// error (a non-number, a missing field or a truths length mismatch), and
+    /// whether it is *plain*: no unknown field can fail it (no duplicate of a
+    /// known key ahead of the real one, no nesting past the limit), so either
+    /// parser reports the same first error.
+    fn valid_body(rng: &mut StdRng) -> (String, bool) {
+        let rows = rng.gen_range(0..6usize);
+        let width = rng.gen_range(0..6usize);
+        let ragged = rng.gen_bool(0.2);
+        let mut fields: Vec<String> = Vec::new();
+
+        let mut features = String::from("[");
+        for i in 0..rows {
+            if i > 0 {
+                features.push(',');
+            }
+            ws(rng, &mut features);
+            let len = if ragged { rng.gen_range(0..6usize) } else { width };
+            number_array(rng, len, &mut features);
+        }
+        features.push(']');
+        if rng.gen_bool(0.05) {
+            // One bad element, word for word in both parsers' messages.
+            let bad = ["[\"x\"]", "[null]", "[[1]]", "[\"in\\u0046\"]"].choose(rng).unwrap();
+            features = if rows == 0 {
+                format!("[{bad}]")
+            } else {
+                features.replacen('[', &format!("[{bad},"), 1)
+            };
+        }
+        let key = if rng.gen_bool(0.1) { "\"feat\\u0075res\"" } else { "\"features\"" };
+        if !rng.gen_bool(0.03) {
+            fields.push(format!("{key}:{features}"));
+        }
+        if rng.gen_bool(0.4) {
+            let len = if rng.gen_bool(0.05) { rows + 1 } else { rows };
+            let mut truths = String::new();
+            number_array(rng, len, &mut truths);
+            fields.push(format!("\"truths\":{truths}"));
+        }
+        let mut plain = true;
+        for _ in 0..rng.gen_range(0..3usize) {
+            let key =
+                ["\"x\"", "\"features\"", "\"truths\"", "\"\\u0078\"", "\"\""].choose(rng).unwrap();
+            let mut value = String::new();
+            plain &= !key.ends_with("s\"");
+            if rng.gen_bool(0.05) {
+                plain = false;
+                // Nesting around the limit: both parsers draw the same line.
+                let depth = rng.gen_range(serde_json::MAX_DEPTH - 2..serde_json::MAX_DEPTH + 2);
+                value = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+            } else {
+                any_value(rng, 3, &mut value);
+            }
+            fields.push(format!("{key}:{value}"));
+        }
+        fields.shuffle(rng);
+
+        let mut body = String::new();
+        ws(rng, &mut body);
+        body.push('{');
+        for (i, field) in fields.iter().enumerate() {
+            if i > 0 {
+                body.push(',');
+            }
+            ws(rng, &mut body);
+            let (key, value) = field.split_once(':').unwrap();
+            body.push_str(key);
+            ws(rng, &mut body);
+            body.push(':');
+            ws(rng, &mut body);
+            body.push_str(value);
+            ws(rng, &mut body);
+        }
+        body.push('}');
+        ws(rng, &mut body);
+        (body, plain)
+    }
+
+    /// `body` with one to three random edits: a byte replaced, inserted or
+    /// removed, the tail cut off, or a whole token (a run of number or letter
+    /// bytes, which leaves `[1,]`-style gaps) removed.
+    fn mutate(rng: &mut StdRng, body: &str) -> Vec<u8> {
+        const ALPHABET: &[u8] = b"[]{},:\"\\ 0123456789-+.eEntfuaxi\xff";
+        let token = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'+' | b'.');
+        let mut bytes = body.as_bytes().to_vec();
+        for _ in 0..rng.gen_range(1..4usize) {
+            let at = rng.gen_range(0..bytes.len() + 1);
+            let byte = ALPHABET[rng.gen_range(0..ALPHABET.len())];
+            match rng.gen_range(0..5u32) {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                2 => bytes.truncate(at),
+                3 => {
+                    let end = (at..bytes.len()).find(|&i| !token(bytes[i])).unwrap_or(bytes.len());
+                    let start = (0..at).rev().find(|&i| !token(bytes[i])).map_or(0, |i| i + 1);
+                    bytes.drain(start..end);
+                }
+                _ => bytes.insert(at, byte),
+            }
+        }
+        bytes
+    }
+
+    proptest! {
+        /// Well-formed bodies: the same bits, or both rejected; a plain body
+        /// is rejected with the same message.
+        #[test]
+        fn valid_bodies_parse_like_the_tree_parser(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..64 {
+                let (body, plain) = valid_body(&mut rng);
+                let got = parse_predict_body(body.as_bytes());
+                let want = reference_parse(body.as_bytes());
+                let (got, want) = (bits(&got), bits(&want));
+                if plain {
+                    prop_assert_eq!(got, want, "body: {}", body);
+                } else {
+                    prop_assert_eq!(got.map_err(|_| ()), want.map_err(|_| ()), "body: {}", body);
+                }
+            }
+        }
+
+        /// Byte-mutated bodies: the same bits, or both rejected.
+        #[test]
+        fn mutated_bodies_are_accepted_or_rejected_like_the_tree_parser(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..64 {
+                let (body, _) = valid_body(&mut rng);
+                for _ in 0..8 {
+                    let mutated = mutate(&mut rng, &body);
+                    let got = bits(&parse_predict_body(&mutated)).map_err(|_| ());
+                    let want = bits(&reference_parse(&mutated)).map_err(|_| ());
+                    prop_assert_eq!(got, want, "body: {}", String::from_utf8_lossy(&mutated));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn field_level_messages_are_unchanged() {
+        let cases: [(&[u8], &str); 6] = [
+            (br#"{"features":[[1],["x"]]}"#, "`features[1]`: not a number: `x`"),
+            (br#"{"features":[[null]]}"#, "`features[0]`: expected number"),
+            (br#"{"features":[[1]],"truths":["nope"]}"#, "`truths[0]`: not a number: `nope`"),
+            (br#"{"features":[[1],[2]],"truths":[1]}"#, "`truths` length 1 != `features` length 2"),
+            (br#"{"truths":[]}"#, "json error: missing field `features`"),
+            (b"{\"features\":[[1]]}\xff", "body is not UTF-8"),
+        ];
+        for (body, message) in cases {
+            assert_eq!(parse_predict_body(body).unwrap_err(), message);
+            assert_eq!(reference_parse(body).unwrap_err(), message);
+        }
+    }
+
+    #[test]
+    fn each_row_reserves_only_its_own_elements() {
+        // A wide first row followed by many empty, spaced and ragged rows:
+        // no row may take its capacity from another.
+        let wide = vec!["0"; 1000].join(",");
+        let body = format!(r#"{{"features":[[{wide}],{}[ ],["nan", 1]]}}"#, "[],".repeat(1000));
+        let (rows, _) = parse_predict_body(body.as_bytes()).unwrap();
+        assert_eq!(rows.len(), 1003);
+        for row in &rows {
+            assert_eq!(row.capacity(), row.len());
+        }
+    }
+
+    #[test]
+    fn rendered_bodies_match_the_concatenating_renderer() {
+        let values = [
+            0.0,
+            -0.0,
+            1.5,
+            -2.25e-7,
+            0.1 + 0.2,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            -f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut results: Vec<Result<PredictionInterval, CardEstError>> = Vec::new();
+        for &lo in &values {
+            for &hi in &values {
+                results.push(Ok(PredictionInterval { lo, hi }));
+            }
+        }
+        let message = "quote \" backslash \\ newline \n bell \u{7}";
+        results.push(Err(CardEstError::ModelPanic(message.into())));
+        results.push(Err(CardEstError::NonFiniteFeature { index: 3 }));
+        for mode in [ServiceMode::Stable, ServiceMode::Drifted] {
+            for n in [0, 1, 2, results.len()] {
+                let batch = &results[..n];
+                assert_eq!(render_predict_body(mode, batch), reference_render(mode, batch));
+            }
+        }
     }
 }

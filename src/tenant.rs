@@ -853,7 +853,13 @@ where
     M: Regressor + Clone + Send + Sync + 'static,
     S: ScoreFunction + Clone + Send + Sync + 'static,
 {
-    let (features, truths) = match parse_predict_body(req.body) {
+    // Stage clocks are read only while a trace is live on this thread.
+    let traced = trace::active_id().is_some();
+    let clock = || traced.then(Instant::now);
+    let t_parse = clock();
+    let parsed = parse_predict_body(req.body);
+    end_stage("parse", t_parse);
+    let (features, truths) = match parsed {
         Ok(parsed) => parsed,
         Err(msg) => return json_error(422, &msg),
     };
@@ -863,7 +869,10 @@ where
     let lookup = (truths.is_none() && registry.cache.enabled())
         .then(|| (fnv1a64(req.body), entry.engine().generation()));
     if let Some((signature, generation)) = lookup {
-        if let Some(body) = registry.cache.get(&entry.name, signature, generation) {
+        let t_cache = clock();
+        let hit = registry.cache.get(&entry.name, signature, generation);
+        end_stage("cache", t_cache);
+        if let Some(body) = hit {
             entry.cache_hits.fetch_add(1, Ordering::Relaxed);
             ce_telemetry::counter("tenant.cache_hit").inc();
             return Response::json(200, body.as_ref());
@@ -871,8 +880,10 @@ where
         entry.cache_misses.fetch_add(1, Ordering::Relaxed);
         ce_telemetry::counter("tenant.cache_miss").inc();
     }
+    // The rows move into the batch; only feedback needs them afterwards.
+    let observed = truths.is_some().then(|| features.clone());
     let (results, stamps): (BatchResults, Vec<BatchStamp>) =
-        match entry.batcher.submit_all(features.clone()) {
+        match entry.batcher.submit_all(features) {
             Ok(served) => served.into_iter().unzip(),
             Err(BatchError::QueueFull) => {
                 trace::event("shed", "admission queue full");
@@ -889,15 +900,16 @@ where
         };
     // Prequential feedback strictly after the predictions: the intervals
     // above were served from pre-feedback state, like the offline loops.
-    if let Some(truths) = &truths {
+    if let (Some(features), Some(truths)) = (&observed, &truths) {
         let truth_id = req.header(TRUTH_HEADER).and_then(parse_truth_id);
-        if entry.engine().observe_all(&features, truths, truth_id) {
-            entry.remember(&features, truths);
+        if entry.engine().observe_all(features, truths, truth_id) {
+            entry.remember(features, truths);
         }
     }
     // `mode` comes from the state the intervals were computed in (a request
     // may span two batches; the last one labels it).
     let mode = stamps.last().map_or_else(|| entry.engine().mode(), |s| s.mode);
+    let t_render = clock();
     let body = render_predict_body(mode, &results);
     let generation = stamps.first().and_then(|s| s.generation);
     if let (Some((signature, _)), Some(generation)) = (lookup, generation) {
@@ -907,7 +919,15 @@ where
             registry.cache.insert(&entry.name, signature, generation, &body);
         }
     }
+    end_stage("render", t_render);
     Response::json(200, body)
+}
+
+/// Ends a stage started at `started` (`None` when no trace was live).
+fn end_stage(name: &'static str, started: Option<Instant>) {
+    if let Some(t) = started {
+        trace::stage(name, t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+    }
 }
 
 /// `POST /v1/observe[/{model}]`: calibration feedback without predictions

@@ -456,3 +456,47 @@ fn drain_completes_promptly_with_connections_parked_in_the_poller() {
     assert!(HttpClient::connect(addr).is_err(), "port open after drain");
     drop(clients);
 }
+
+/// A body nested 100 000 arrays deep is a 422 on both body-reading
+/// endpoints, open or closed, and the server keeps serving: an unbounded
+/// recursive parse would overflow a worker's stack and abort the process.
+#[test]
+fn hostile_bodies_are_rejected_and_the_server_survives() {
+    let xs: Vec<Vec<f32>> = (0..32).map(|i| vec![i as f32 / 32.0]).collect();
+    let ys: Vec<f64> = (0..32).map(|i| i as f64 / 32.0 + 0.01).collect();
+    let healing = SelfHealingService::new(
+        |f: &[f32]| f[0] as f64,
+        AbsoluteResidual,
+        &xs,
+        &ys,
+        PiServiceConfig::default(),
+        HealConfig::default(),
+    );
+    let engine = Arc::new(ServeEngine::new(healing, Vec::new(), 1));
+    let handle = start_server(engine, "127.0.0.1:0", HttpServeConfig::default())
+        .expect("bind loopback server");
+    let mut client = HttpClient::connect(handle.local_addr()).expect("connect");
+    let depth = 100_000;
+    let open = format!("{{\"features\":[],\"x\":{}", "[".repeat(depth));
+    let closed = format!("{open}{}}}", "]".repeat(depth));
+    for path in ["/v1/predict", "/v1/observe"] {
+        for body in [&open, &closed] {
+            let resp = client.post(path, body.as_bytes()).expect("deep body answered");
+            assert_eq!(resp.status, 422, "{path}: {}", String::from_utf8_lossy(&resp.body));
+        }
+    }
+    // A wide first row then many empty ones: every row is parsed before the
+    // truths check rejects the body; were each empty row sized like the
+    // first, this would reserve ~1.6 GB.
+    let n = 20_000;
+    let wide = vec!["0"; n].join(",");
+    let body = format!("{{\"features\":[[{wide}]{}],\"truths\":[]}}", ",[]".repeat(n));
+    let resp = client.post("/v1/predict", body.as_bytes()).expect("wide body answered");
+    assert_eq!(resp.status, 422, "{}", String::from_utf8_lossy(&resp.body));
+    let expected = format!("`truths` length 0 != `features` length {}", n + 1);
+    assert!(String::from_utf8_lossy(&resp.body).contains(&expected));
+    assert_eq!(client.get("/healthz").expect("healthz").status, 200);
+    let resp = client.post("/v1/predict", b"{\"features\":[[0.5]]}").expect("predict");
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    handle.drain();
+}

@@ -129,10 +129,20 @@ fn client_trace_id_round_trips_direct_to_shard() {
     assert_eq!(resp.status, 200);
     assert_eq!(resp.trace_id(), Some(id), "shard must echo the client's trace ID");
     let stages = resp.header("x-ce-stages").expect("stage breakdown header");
-    assert!(stages.contains("infer="), "stage header missing infer: {stages}");
+    // The handler's own work around inference is attributed too.
+    for stage in ["parse=", "infer=", "render="] {
+        assert!(stages.contains(stage), "stage header missing {stage}: {stages}");
+    }
 
     // The flight recorder retained the record under the client's ID.
-    wait_for_record(0xc0ffee);
+    let record = wait_for_record(0xc0ffee);
+    for stage in ["parse", "infer", "render"] {
+        assert!(
+            record.stages().iter().any(|s| s.name == stage),
+            "record missing {stage}: {:?}",
+            record.stages()
+        );
+    }
     shard.drain();
 }
 

@@ -53,7 +53,7 @@ impl Checkpoint {
     }
 }
 
-impl<M: Regressor + Clone, S: ScoreFunction + Clone> SelfHealingService<M, S> {
+impl<M: Regressor, S: ScoreFunction> SelfHealingService<M, S> {
     /// Captures the full serving state as a [`Checkpoint`].
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
@@ -68,8 +68,8 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> SelfHealingService<M, S> {
     /// resumes bit-for-bit: `restored.checkpoint()` re-encodes to the same
     /// bytes.
     pub fn restore(model: M, score: S, checkpoint: Checkpoint) -> Result<Self, CardEstError> {
-        let service = PiService::from_state(model.clone(), score.clone(), checkpoint.service)?;
-        SelfHealingService::from_snapshot(service, model, score, checkpoint.heal)
+        let service = PiService::from_state(model, score, checkpoint.service)?;
+        SelfHealingService::from_snapshot(service, checkpoint.heal)
     }
 }
 
@@ -232,6 +232,11 @@ fn read_service(r: &mut Reader<'_>) -> Result<PiServiceState, CardEstError> {
         couple_coverage_alarm: r.bool()?,
     };
     let online_scores = r.f64s()?;
+    // Restore adopts these as the sorted multiset without re-sorting, and
+    // the checksum is no proof of origin: check the order here.
+    if !online_scores.iter().all(|s| s.is_finite()) || !online_scores.is_sorted() {
+        return Err(CardEstError::CheckpointCorrupt("online scores unsorted or non-finite"));
+    }
     let online_nonfinite = r.u64()? as usize;
     let window_scores = r.f64s()?;
     let martingale = MartingaleSnapshot {
@@ -614,6 +619,44 @@ mod tests {
     fn missing_file_is_io_error() {
         let err = read_checkpoint(Path::new("/nonexistent/nowhere.ckpt")).unwrap_err();
         assert!(matches!(err, CardEstError::CheckpointIo(_)));
+    }
+
+    /// Offset of the online score count: the header, then alpha, window
+    /// and shift threshold (8 bytes each) and the coupling flag (1 byte).
+    const ONLINE_COUNT_AT: usize = HEADER_LEN + 25;
+
+    /// Writes `value` over online score `i` and re-seals the checksum, as
+    /// anyone who can post a checkpoint can.
+    fn forge_online_score(bytes: &mut [u8], i: usize, value: f64) {
+        let at = ONLINE_COUNT_AT + 8 + 8 * i;
+        bytes[at..at + 8].copy_from_slice(&value.to_bits().to_le_bytes());
+        let sum = fnv1a64(&bytes[HEADER_LEN..]);
+        bytes[16..24].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn rejects_unsorted_or_non_finite_online_scores_under_a_valid_checksum() {
+        let svc = streamed_service(200);
+        let bytes = encode_checkpoint(&svc.checkpoint());
+        let scores = svc.service().export_state().online_scores;
+        let count = u64::from_le_bytes(bytes[ONLINE_COUNT_AT..][..8].try_into().unwrap());
+        assert_eq!(count as usize, scores.len());
+        let (first, last) = (scores[0], scores[scores.len() - 1]);
+        assert!(first < last);
+        // Re-sealing an untouched score leaves valid bytes.
+        let mut same = bytes.clone();
+        forge_online_score(&mut same, 0, first);
+        assert_eq!(same, bytes);
+        let corrupt = Err(CardEstError::CheckpointCorrupt("online scores unsorted or non-finite"));
+        let mut unsorted = bytes.clone();
+        forge_online_score(&mut unsorted, 0, last);
+        forge_online_score(&mut unsorted, scores.len() - 1, first);
+        assert_eq!(decode_checkpoint(&unsorted).map(|_| ()), corrupt);
+        for bad in [f64::INFINITY, f64::NAN] {
+            let mut forged = bytes.clone();
+            forge_online_score(&mut forged, scores.len() - 1, bad);
+            assert_eq!(decode_checkpoint(&forged).map(|_| ()), corrupt, "{bad}");
+        }
     }
 
     #[test]

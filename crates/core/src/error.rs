@@ -164,6 +164,16 @@ pub(crate) fn check_alpha(alpha: f64) -> Result<(), CardEstError> {
     }
 }
 
+/// Passes a finite value through; reports NaN/±∞ as
+/// [`CardEstError::NonFiniteScore`] from `context`.
+pub(crate) fn finite_or_err(value: f64, context: &'static str) -> Result<f64, CardEstError> {
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err(CardEstError::NonFiniteScore { value, context })
+    }
+}
+
 /// Validates matching calibration lengths.
 pub(crate) fn check_lengths(features: usize, targets: usize) -> Result<(), CardEstError> {
     if features == targets {

@@ -144,7 +144,7 @@ impl HealEvent {
 }
 
 /// The checkpointable state of the healing layer (everything except the
-/// wrapped service, model, and score function).
+/// wrapped service, which holds the model and score function).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct HealSnapshot {
     pub config: HealConfig,
@@ -167,8 +167,6 @@ pub(crate) struct HealSnapshot {
 #[derive(Debug, Clone)]
 pub struct SelfHealingService<M, S> {
     service: PiService<M, S>,
-    model: M,
-    score: S,
     config: HealConfig,
     state: HealState,
     /// Observations fed through this layer (the state machine's clock).
@@ -186,7 +184,7 @@ pub struct SelfHealingService<M, S> {
     history: Vec<HealEvent>,
 }
 
-impl<M: Regressor + Clone, S: ScoreFunction + Clone> SelfHealingService<M, S> {
+impl<M: Regressor, S: ScoreFunction> SelfHealingService<M, S> {
     /// Bound on the remediation history kept for diagnostics.
     pub const HISTORY_CAP: usize = 32;
 
@@ -217,9 +215,8 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> SelfHealingService<M, S> {
         heal_config: HealConfig,
     ) -> Result<Self, CardEstError> {
         Self::check_config(&heal_config)?;
-        let service =
-            PiService::try_new(model.clone(), score.clone(), calib_x, calib_y, service_config)?;
-        Ok(Self::from_parts(service, model, score, heal_config))
+        let service = PiService::try_new(model, score, calib_x, calib_y, service_config)?;
+        Ok(Self::from_parts(service, heal_config))
     }
 
     fn check_config(config: &HealConfig) -> Result<(), CardEstError> {
@@ -243,11 +240,9 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> SelfHealingService<M, S> {
         Ok(())
     }
 
-    fn from_parts(service: PiService<M, S>, model: M, score: S, config: HealConfig) -> Self {
+    fn from_parts(service: PiService<M, S>, config: HealConfig) -> Self {
         SelfHealingService {
             service,
-            model,
-            score,
             config,
             state: HealState::Healthy,
             observations: 0,
@@ -349,10 +344,9 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> SelfHealingService<M, S> {
     /// machine one step.
     pub fn observe(&mut self, features: &[f32], y_true: f64) {
         self.observations += 1;
-        // Score against the model *before* the calibrators absorb the pair —
-        // the same fresh-regime view the coverage monitor gets.
-        let score = self.score.score(y_true, self.model.predict(features));
-        self.service.observe(features, y_true);
+        // The service's one forward pass for this truth also yields the
+        // fresh-regime score the gather needs.
+        let score = self.service.observe_scored(features, y_true);
         match self.state {
             HealState::Healthy => {
                 if self.service.coverage_monitor().drift().is_some()
@@ -494,12 +488,10 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> SelfHealingService<M, S> {
     /// Rebuilds the layer from checkpointed state around a restored service.
     pub(crate) fn from_snapshot(
         service: PiService<M, S>,
-        model: M,
-        score: S,
         snap: HealSnapshot,
     ) -> Result<Self, CardEstError> {
         Self::check_config(&snap.config)?;
-        let mut svc = Self::from_parts(service, model, score, snap.config);
+        let mut svc = Self::from_parts(service, snap.config);
         svc.state = snap.state;
         svc.observations = snap.observations;
         svc.gathered = snap.gathered;

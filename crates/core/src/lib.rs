@@ -16,8 +16,8 @@
 //! Plus the future-work directions §V-D sketches — localized conformal
 //! prediction ([`LocalizedConformal`]) and group-conditional calibration
 //! ([`MondrianConformal`]) — and the operational machinery the paper
-//! discusses: online/windowed
-//! calibration ([`OnlineConformal`], [`WindowedConformal`]), martingale
+//! discusses: online and sliding-window calibration
+//! ([`OnlineConformal::new`], [`OnlineConformal::windowed`]), martingale
 //! exchangeability testing ([`ExchangeabilityMartingale`]), alternative
 //! scoring functions ([`AbsoluteResidual`], [`QErrorScore`],
 //! [`RelativeErrorScore`]), and evaluation metrics.
@@ -78,7 +78,7 @@ pub use metrics::{
     width_ratio, IntervalReport, Percentiles,
 };
 pub use monitor::{CoverageDrift, CoverageMonitor, CoverageMonitorConfig};
-pub use online::{OnlineConformal, WindowedConformal};
+pub use online::OnlineConformal;
 pub use quantile::{
     conformal_quantile, conformal_quantile_lower, empirical_quantile, kth_smallest,
     try_conformal_quantile, try_conformal_quantile_lower,

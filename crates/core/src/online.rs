@@ -2,13 +2,14 @@
 //!
 //! Conformal prediction is naturally online: once a query executes, its true
 //! cardinality is known and the pair can be folded into the calibration set
-//! without breaking exchangeability. [`OnlineConformal`] grows the score set
-//! forever (Fig. 8); [`WindowedConformal`] keeps only the last `w` scores so
-//! the calibration tracks the recent workload.
+//! without breaking exchangeability. [`OnlineConformal::new`] grows the score
+//! set forever (Fig. 8); [`OnlineConformal::windowed`] keeps only the last
+//! `w` scores so the calibration tracks the recent workload. Both are one
+//! type over one score state; only its window differs.
 
 use std::collections::VecDeque;
 
-use crate::error::{check_alpha, check_lengths, CardEstError};
+use crate::error::{check_alpha, check_lengths, finite_or_err, CardEstError};
 use crate::interval::PredictionInterval;
 use crate::regressor::Regressor;
 use crate::score::ScoreFunction;
@@ -60,14 +61,6 @@ impl SortedScores {
         self.values.len() + self.n_nonfinite
     }
 
-    /// Rebuilds the multiset from already-sorted finite values plus a
-    /// non-finite count (checkpoint restore). The sort order is the caller's
-    /// contract; a violation is caught in debug builds only.
-    fn from_sorted(values: Vec<f64>, n_nonfinite: usize) -> Self {
-        debug_assert!(values.windows(2).all(|w| w[0] <= w[1]), "restore requires sorted scores");
-        SortedScores { values, n_nonfinite }
-    }
-
     /// The `⌈(1-α)(n+1)⌉`-th smallest, `+∞` if out of range or if the rank
     /// lands in the non-finite tail.
     fn conformal_quantile(&self, alpha: f64) -> f64 {
@@ -81,13 +74,93 @@ impl SortedScores {
     }
 }
 
-/// Ever-growing online conformal predictor.
+/// The calibration state of one conformal calibrator: the sorted score
+/// multiset, the miscoverage level, and — for a windowed calibrator — the
+/// scores in arrival order, capped at the window size.
+#[derive(Debug, Clone)]
+pub(crate) struct ScoreState {
+    sorted: SortedScores,
+    /// Arrival order; kept only when `window` is set.
+    recency: VecDeque<f64>,
+    /// Cap on the number of scores kept; `None` grows forever.
+    window: Option<usize>,
+    alpha: f64,
+}
+
+impl ScoreState {
+    /// An empty state; `window` of `None` keeps every score.
+    pub(crate) fn new(window: Option<usize>, alpha: f64) -> Result<Self, CardEstError> {
+        check_alpha(alpha)?;
+        if window == Some(0) {
+            return Err(CardEstError::InvalidParameter("window must be positive"));
+        }
+        Ok(ScoreState {
+            sorted: SortedScores::default(),
+            recency: VecDeque::with_capacity(window.map_or(0, |w| w + 1)),
+            window,
+            alpha,
+        })
+    }
+
+    /// Current threshold δ (`+∞` while too few scores are held).
+    pub(crate) fn delta(&self) -> f64 {
+        self.sorted.conformal_quantile(self.alpha)
+    }
+
+    /// Adds one score, evicting the oldest when a window is full. A
+    /// non-finite score is recorded as `+∞` (and evicted like any other).
+    ///
+    /// An eviction whose score is not in the multiset (a float changed
+    /// behind the calibrator's back) is dropped and counted under the
+    /// `windowed.evict_miss` telemetry counter rather than aborting the
+    /// serve loop.
+    pub(crate) fn insert(&mut self, s: f64) {
+        self.sorted.insert(s);
+        let Some(window) = self.window else { return };
+        self.recency.push_back(s);
+        if self.recency.len() > window {
+            let old = self.recency.pop_front().expect("non-empty window");
+            if self.sorted.remove(old).is_err() {
+                ce_telemetry::counter("windowed.evict_miss").inc();
+            }
+        }
+    }
+
+    /// Replaces every score with `scores` (in arrival order), keeping only
+    /// the most recent `window` of them when windowed.
+    pub(crate) fn replace_scores(&mut self, scores: &[f64]) {
+        self.sorted = SortedScores::default();
+        self.recency.clear();
+        let start = self.window.map_or(0, |w| scores.len().saturating_sub(w));
+        for &s in &scores[start..] {
+            self.insert(s);
+        }
+    }
+
+    /// Checkpoint restore of an unwindowed state: adopts already-sorted
+    /// finite scores plus a non-finite count without re-sorting. The
+    /// checkpoint decoder rejects unsorted or non-finite values before they
+    /// get here.
+    pub(crate) fn restore_sorted(&mut self, values: Vec<f64>, n_nonfinite: usize) {
+        self.sorted = SortedScores { values, n_nonfinite };
+    }
+
+    /// The window's scores in arrival order, oldest first (raw values —
+    /// non-finite scores appear as observed).
+    pub(crate) fn recency(&self) -> impl Iterator<Item = f64> + '_ {
+        self.recency.iter().copied()
+    }
+}
+
+/// A conformal calibrator around one black-box model, updated online.
+///
+/// Built by [`OnlineConformal::new`] it keeps every score (Fig. 8); built by
+/// [`OnlineConformal::windowed`] it keeps only the most recent `window`.
 #[derive(Debug, Clone)]
 pub struct OnlineConformal<M, S> {
     model: M,
     score: S,
-    scores: SortedScores,
-    alpha: f64,
+    scores: ScoreState,
 }
 
 impl<M: Regressor, S: ScoreFunction> OnlineConformal<M, S> {
@@ -95,7 +168,7 @@ impl<M: Regressor, S: ScoreFunction> OnlineConformal<M, S> {
     /// infinite/clipped until enough scores accumulate).
     ///
     /// # Panics
-    /// Panics on length mismatch or `alpha` outside `(0, 1)`.
+    /// Panics on any input [`OnlineConformal::try_new`] rejects.
     pub fn new(
         model: M,
         score: S,
@@ -103,13 +176,8 @@ impl<M: Regressor, S: ScoreFunction> OnlineConformal<M, S> {
         calib_y: &[f64],
         alpha: f64,
     ) -> Self {
-        assert_eq!(calib_x.len(), calib_y.len(), "calibration set length mismatch");
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-        let mut scores = SortedScores::default();
-        for (x, &y) in calib_x.iter().zip(calib_y) {
-            scores.insert(score.score(y, model.predict(x)));
-        }
-        OnlineConformal { model, score, scores, alpha }
+        Self::try_new(model, score, calib_x, calib_y, alpha)
+            .expect("invalid OnlineConformal configuration")
     }
 
     /// Non-panicking [`OnlineConformal::new`]: reports mismatched lengths and
@@ -125,22 +193,42 @@ impl<M: Regressor, S: ScoreFunction> OnlineConformal<M, S> {
         alpha: f64,
     ) -> Result<Self, CardEstError> {
         check_lengths(calib_x.len(), calib_y.len())?;
-        check_alpha(alpha)?;
-        let mut scores = SortedScores::default();
+        let mut oc = OnlineConformal { model, score, scores: ScoreState::new(None, alpha)? };
         for (x, &y) in calib_x.iter().zip(calib_y) {
-            scores.insert(score.score(y, model.predict(x)));
+            oc.observe(x, y);
         }
-        Ok(OnlineConformal { model, score, scores, alpha })
+        Ok(oc)
     }
 
-    /// Current calibration-set size.
+    /// A sliding-window calibrator that starts empty and keeps the most
+    /// recent `window` scores.
+    ///
+    /// # Panics
+    /// Panics if `window == 0` or `alpha` outside `(0, 1)`.
+    pub fn windowed(model: M, score: S, window: usize, alpha: f64) -> Self {
+        Self::try_windowed(model, score, window, alpha)
+            .expect("invalid windowed OnlineConformal configuration")
+    }
+
+    /// Non-panicking [`OnlineConformal::windowed`].
+    pub fn try_windowed(
+        model: M,
+        score: S,
+        window: usize,
+        alpha: f64,
+    ) -> Result<Self, CardEstError> {
+        Ok(OnlineConformal { model, score, scores: ScoreState::new(Some(window), alpha)? })
+    }
+
+    /// Current calibration-set size (for a windowed calibrator, at most the
+    /// window).
     pub fn calibration_size(&self) -> usize {
-        self.scores.len()
+        self.scores.sorted.len()
     }
 
     /// Current threshold δ.
     pub fn delta(&self) -> f64 {
-        self.scores.conformal_quantile(self.alpha)
+        self.scores.delta()
     }
 
     /// The model's point estimate.
@@ -150,24 +238,14 @@ impl<M: Regressor, S: ScoreFunction> OnlineConformal<M, S> {
 
     /// Interval under the current calibration set.
     pub fn interval(&self, features: &[f32]) -> PredictionInterval {
-        let y_hat = self.model.predict(features);
-        let (lo, hi) = self.score.interval(y_hat, self.delta());
-        PredictionInterval::new(lo, hi)
+        self.interval_at(features, self.delta())
     }
 
     /// Like [`OnlineConformal::interval`], but a non-finite model prediction
     /// is reported as [`CardEstError::NonFiniteScore`] instead of silently
     /// producing a garbage interval.
     pub fn try_interval(&self, features: &[f32]) -> Result<PredictionInterval, CardEstError> {
-        let y_hat = self.model.predict(features);
-        if !y_hat.is_finite() {
-            return Err(CardEstError::NonFiniteScore {
-                value: y_hat,
-                context: "model prediction",
-            });
-        }
-        let (lo, hi) = self.score.interval(y_hat, self.delta());
-        Ok(PredictionInterval::new(lo, hi))
+        self.try_interval_at(features, self.delta())
     }
 
     /// Batched [`OnlineConformal::try_interval`]: one
@@ -180,42 +258,81 @@ impl<M: Regressor, S: ScoreFunction> OnlineConformal<M, S> {
         &self,
         queries: &[Vec<f32>],
     ) -> Vec<Result<PredictionInterval, CardEstError>> {
-        let delta = self.delta();
-        self.model
-            .predict_batch(queries)
-            .into_iter()
-            .map(|y_hat| {
-                if !y_hat.is_finite() {
-                    return Err(CardEstError::NonFiniteScore {
-                        value: y_hat,
-                        context: "model prediction",
-                    });
-                }
-                let (lo, hi) = self.score.interval(y_hat, delta);
-                Ok(PredictionInterval::new(lo, hi))
-            })
-            .collect()
+        self.try_interval_batch_at(queries, self.delta())
     }
 
     /// Batched [`OnlineConformal::interval`] (infallible form; a non-finite
     /// prediction propagates into the interval exactly as on the single
     /// path).
     pub fn interval_batch(&self, queries: &[Vec<f32>]) -> Vec<PredictionInterval> {
-        let delta = self.delta();
-        self.model
-            .predict_batch(queries)
+        self.interval_batch_at(queries, self.delta())
+    }
+
+    /// [`OnlineConformal::interval`] under a caller-chosen threshold.
+    pub(crate) fn interval_at(&self, features: &[f32], delta: f64) -> PredictionInterval {
+        self.interval_around(self.model.predict(features), delta)
+    }
+
+    /// [`OnlineConformal::try_interval`] under a caller-chosen threshold.
+    pub(crate) fn try_interval_at(
+        &self,
+        features: &[f32],
+        delta: f64,
+    ) -> Result<PredictionInterval, CardEstError> {
+        let y_hat = finite_or_err(self.model.predict(features), "model prediction")?;
+        Ok(self.interval_around(y_hat, delta))
+    }
+
+    /// [`OnlineConformal::interval_batch`] under a caller-chosen threshold.
+    pub(crate) fn interval_batch_at(
+        &self,
+        queries: &[Vec<f32>],
+        delta: f64,
+    ) -> Vec<PredictionInterval> {
+        let y_hats = self.model.predict_batch(queries);
+        y_hats.into_iter().map(|y_hat| self.interval_around(y_hat, delta)).collect()
+    }
+
+    /// [`OnlineConformal::try_interval_batch`] under a caller-chosen
+    /// threshold.
+    pub(crate) fn try_interval_batch_at(
+        &self,
+        queries: &[Vec<f32>],
+        delta: f64,
+    ) -> Vec<Result<PredictionInterval, CardEstError>> {
+        let y_hats = self.model.predict_batch(queries);
+        y_hats
             .into_iter()
             .map(|y_hat| {
-                let (lo, hi) = self.score.interval(y_hat, delta);
-                PredictionInterval::new(lo, hi)
+                let y_hat = finite_or_err(y_hat, "model prediction")?;
+                Ok(self.interval_around(y_hat, delta))
             })
             .collect()
     }
 
+    /// The interval of threshold `delta` around an already-computed
+    /// prediction.
+    pub(crate) fn interval_around(&self, y_hat: f64, delta: f64) -> PredictionInterval {
+        let (lo, hi) = self.score.interval(y_hat, delta);
+        PredictionInterval::new(lo, hi)
+    }
+
+    /// The conformal score of a truth against an already-computed
+    /// prediction.
+    pub(crate) fn score(&self, y_true: f64, y_hat: f64) -> f64 {
+        self.score.score(y_true, y_hat)
+    }
+
     /// Folds an executed query's observed truth into the calibration set.
-    /// A non-finite score (corrupt prediction or label) is recorded as `+∞`.
+    /// A non-finite score (corrupt prediction or label) is recorded as `+∞`;
+    /// a windowed calibrator evicts its oldest score when full.
     pub fn observe(&mut self, features: &[f32], y_true: f64) {
-        let s = self.score.score(y_true, self.model.predict(features));
+        let s = self.score(y_true, self.model.predict(features));
+        self.scores.insert(s);
+    }
+
+    /// Folds an already-computed score into the calibration set.
+    pub(crate) fn observe_score(&mut self, s: f64) {
         self.scores.insert(s);
     }
 
@@ -223,178 +340,27 @@ impl<M: Regressor, S: ScoreFunction> OnlineConformal<M, S> {
     /// observations are counted separately, see
     /// [`OnlineConformal::nonfinite_count`]).
     pub fn calibration_scores(&self) -> &[f64] {
-        &self.scores.values
+        &self.scores.sorted.values
     }
 
     /// Number of non-finite scores absorbed (each an implicit `+∞` order
     /// statistic).
     pub fn nonfinite_count(&self) -> usize {
-        self.scores.n_nonfinite
+        self.scores.sorted.n_nonfinite
     }
 
     /// Atomically replaces the whole calibration set with `scores` (the
-    /// promotion step of drift remediation). Non-finite entries are counted
-    /// as `+∞` like any observed score.
+    /// promotion step of drift remediation), given in arrival order; a
+    /// windowed calibrator keeps only the most recent `window`. Non-finite
+    /// entries are counted as `+∞` like any observed score.
     pub fn replace_scores(&mut self, scores: &[f64]) {
-        let mut fresh = SortedScores::default();
-        for &s in scores {
-            fresh.insert(s);
-        }
-        self.scores = fresh;
+        self.scores.replace_scores(scores);
     }
 
     /// Checkpoint restore: adopts already-sorted finite scores plus a
     /// non-finite count without re-sorting.
     pub(crate) fn restore_sorted(&mut self, values: Vec<f64>, n_nonfinite: usize) {
-        self.scores = SortedScores::from_sorted(values, n_nonfinite);
-    }
-}
-
-/// Sliding-window conformal predictor: keeps the most recent `window` scores.
-#[derive(Debug, Clone)]
-pub struct WindowedConformal<M, S> {
-    model: M,
-    score: S,
-    scores: SortedScores,
-    recency: VecDeque<f64>,
-    window: usize,
-    alpha: f64,
-}
-
-impl<M: Regressor, S: ScoreFunction> WindowedConformal<M, S> {
-    /// Creates an empty-window predictor.
-    ///
-    /// # Panics
-    /// Panics if `window == 0` or `alpha` outside `(0, 1)`.
-    pub fn new(model: M, score: S, window: usize, alpha: f64) -> Self {
-        assert!(window > 0, "window must be positive");
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-        WindowedConformal {
-            model,
-            score,
-            scores: SortedScores::default(),
-            recency: VecDeque::with_capacity(window + 1),
-            window,
-            alpha,
-        }
-    }
-
-    /// Non-panicking [`WindowedConformal::new`].
-    pub fn try_new(model: M, score: S, window: usize, alpha: f64) -> Result<Self, CardEstError> {
-        if window == 0 {
-            return Err(CardEstError::InvalidParameter("window must be positive"));
-        }
-        check_alpha(alpha)?;
-        Ok(WindowedConformal::new(model, score, window, alpha))
-    }
-
-    /// Number of scores currently in the window.
-    pub fn len(&self) -> usize {
-        self.recency.len()
-    }
-
-    /// True when no scores have been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.recency.is_empty()
-    }
-
-    /// Current threshold δ (`+∞` while the window is too small).
-    pub fn delta(&self) -> f64 {
-        self.scores.conformal_quantile(self.alpha)
-    }
-
-    /// Interval under the current window.
-    pub fn interval(&self, features: &[f32]) -> PredictionInterval {
-        let y_hat = self.model.predict(features);
-        let (lo, hi) = self.score.interval(y_hat, self.delta());
-        PredictionInterval::new(lo, hi)
-    }
-
-    /// Like [`WindowedConformal::interval`], but a non-finite model
-    /// prediction is reported as [`CardEstError::NonFiniteScore`].
-    pub fn try_interval(&self, features: &[f32]) -> Result<PredictionInterval, CardEstError> {
-        let y_hat = self.model.predict(features);
-        if !y_hat.is_finite() {
-            return Err(CardEstError::NonFiniteScore {
-                value: y_hat,
-                context: "model prediction",
-            });
-        }
-        let (lo, hi) = self.score.interval(y_hat, self.delta());
-        Ok(PredictionInterval::new(lo, hi))
-    }
-
-    /// Batched [`WindowedConformal::try_interval`]; see
-    /// [`OnlineConformal::try_interval_batch`] for the identity guarantee.
-    pub fn try_interval_batch(
-        &self,
-        queries: &[Vec<f32>],
-    ) -> Vec<Result<PredictionInterval, CardEstError>> {
-        let delta = self.delta();
-        self.model
-            .predict_batch(queries)
-            .into_iter()
-            .map(|y_hat| {
-                if !y_hat.is_finite() {
-                    return Err(CardEstError::NonFiniteScore {
-                        value: y_hat,
-                        context: "model prediction",
-                    });
-                }
-                let (lo, hi) = self.score.interval(y_hat, delta);
-                Ok(PredictionInterval::new(lo, hi))
-            })
-            .collect()
-    }
-
-    /// Batched [`WindowedConformal::interval`] (infallible form).
-    pub fn interval_batch(&self, queries: &[Vec<f32>]) -> Vec<PredictionInterval> {
-        let delta = self.delta();
-        self.model
-            .predict_batch(queries)
-            .into_iter()
-            .map(|y_hat| {
-                let (lo, hi) = self.score.interval(y_hat, delta);
-                PredictionInterval::new(lo, hi)
-            })
-            .collect()
-    }
-
-    /// Observes an executed query, evicting the oldest score when full.
-    /// A non-finite score is recorded as `+∞` (and evicted like any other).
-    ///
-    /// An eviction whose score is not in the multiset (a float changed
-    /// behind the predictor's back) is dropped and counted
-    /// under the `windowed.evict_miss` telemetry counter rather than
-    /// aborting the serve loop.
-    pub fn observe(&mut self, features: &[f32], y_true: f64) {
-        let s = self.score.score(y_true, self.model.predict(features));
-        self.recency.push_back(s);
-        self.scores.insert(s);
-        if self.recency.len() > self.window {
-            let old = self.recency.pop_front().expect("non-empty window");
-            if self.scores.remove(old).is_err() {
-                ce_telemetry::counter("windowed.evict_miss").inc();
-            }
-        }
-    }
-
-    /// The window's scores in arrival order, oldest first (raw values —
-    /// non-finite scores appear as observed).
-    pub fn recency_scores(&self) -> impl Iterator<Item = f64> + '_ {
-        self.recency.iter().copied()
-    }
-
-    /// Atomically replaces the window contents with `scores` in arrival
-    /// order, keeping only the most recent `window` of them.
-    pub fn replace_scores(&mut self, scores: &[f64]) {
-        self.recency.clear();
-        self.scores = SortedScores::default();
-        let start = scores.len().saturating_sub(self.window);
-        for &s in &scores[start..] {
-            self.recency.push_back(s);
-            self.scores.insert(s);
-        }
+        self.scores.restore_sorted(values, n_nonfinite);
     }
 }
 
@@ -452,15 +418,15 @@ mod tests {
     #[test]
     fn windowed_observe_survives_score_not_found() {
         let model = |_: &[f32]| 0.0;
-        let mut wc = WindowedConformal::new(model, AbsoluteResidual, 2, 0.5);
+        let mut wc = OnlineConformal::windowed(model, AbsoluteResidual, 2, 0.5);
         wc.observe(&[0.0], 1.0);
         wc.observe(&[0.0], 2.0);
         // Sabotage the multiset so the upcoming eviction of score 1.0 misses.
-        wc.scores = SortedScores::default();
-        wc.scores.insert(10.0);
-        wc.scores.insert(20.0);
+        wc.scores.sorted = SortedScores::default();
+        wc.scores.sorted.insert(10.0);
+        wc.scores.sorted.insert(20.0);
         wc.observe(&[0.0], 3.0); // evicts 1.0 -> not present -> dropped
-        assert_eq!(wc.len(), 2, "recency window stays bounded");
+        assert_eq!(wc.scores.recency.len(), 2, "recency window stays bounded");
     }
 
     #[test]
@@ -527,7 +493,7 @@ mod tests {
     #[test]
     fn window_evicts_old_scores_and_adapts_to_shift() {
         let model = |_: &[f32]| 0.0;
-        let mut wc = WindowedConformal::new(model, AbsoluteResidual, 50, 0.1);
+        let mut wc = OnlineConformal::windowed(model, AbsoluteResidual, 50, 0.1);
         // Old regime: huge errors.
         for _ in 0..50 {
             wc.observe(&[0.0], 100.0);
@@ -538,15 +504,15 @@ mod tests {
         for _ in 0..50 {
             wc.observe(&[0.0], 1.0);
         }
-        assert_eq!(wc.len(), 50);
+        assert_eq!(wc.calibration_size(), 50);
         assert!(wc.delta() < old_delta / 10.0, "window should forget the old regime");
     }
 
     #[test]
     fn empty_window_gives_infinite_interval() {
         let model = |_: &[f32]| 5.0;
-        let wc = WindowedConformal::new(model, AbsoluteResidual, 10, 0.1);
-        assert!(wc.is_empty());
+        let wc = OnlineConformal::windowed(model, AbsoluteResidual, 10, 0.1);
+        assert_eq!(wc.calibration_size(), 0);
         let iv = wc.interval(&[0.0]);
         assert!(iv.lo.is_infinite() && iv.hi.is_infinite());
     }
@@ -555,7 +521,7 @@ mod tests {
     #[should_panic(expected = "window must be positive")]
     fn rejects_zero_window() {
         let model = |_: &[f32]| 0.0;
-        WindowedConformal::new(model, AbsoluteResidual, 0, 0.1);
+        OnlineConformal::windowed(model, AbsoluteResidual, 0, 0.1);
     }
 
     #[test]
@@ -581,13 +547,13 @@ mod tests {
         // alpha = 0.5 so a 3-score window has a finite conformal rank
         // (ceil(0.5 * 4) = 2) once the NaN is gone.
         let model = |f: &[f32]| f[0] as f64;
-        let mut wc = WindowedConformal::new(model, AbsoluteResidual, 3, 0.5);
+        let mut wc = OnlineConformal::windowed(model, AbsoluteResidual, 3, 0.5);
         wc.observe(&[f32::NAN], 1.0);
         assert!(wc.delta().is_infinite());
         for _ in 0..3 {
             wc.observe(&[0.0], 0.5);
         }
-        assert_eq!(wc.len(), 3);
+        assert_eq!(wc.calibration_size(), 3);
         assert!(wc.delta().is_finite(), "NaN score must have been evicted");
     }
 
@@ -618,7 +584,7 @@ mod tests {
             Some(CardEstError::InvalidAlpha(1.5))
         );
         assert_eq!(
-            WindowedConformal::try_new(model, AbsoluteResidual, 0, 0.1).err(),
+            OnlineConformal::try_windowed(model, AbsoluteResidual, 0, 0.1).err(),
             Some(CardEstError::InvalidParameter("window must be positive"))
         );
         let nan_model = |_: &[f32]| f64::NAN;

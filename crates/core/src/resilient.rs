@@ -25,9 +25,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use crate::error::CardEstError;
+use crate::error::{finite_or_err, CardEstError};
 use crate::interval::PredictionInterval;
-use crate::online::{OnlineConformal, WindowedConformal};
+use crate::online::OnlineConformal;
 use crate::regressor::Regressor;
 use crate::score::ScoreFunction;
 use crate::service::PiService;
@@ -66,14 +66,6 @@ pub trait PiEstimator: Sync + Send {
     fn observe(&mut self, features: &[f32], y_true: f64);
 }
 
-fn finite_or_err(value: f64, context: &'static str) -> Result<f64, CardEstError> {
-    if value.is_finite() {
-        Ok(value)
-    } else {
-        Err(CardEstError::NonFiniteScore { value, context })
-    }
-}
-
 impl<M: Regressor + Sync + Send, S: ScoreFunction + Sync + Send> PiEstimator for OnlineConformal<M, S> {
     fn name(&self) -> &str {
         "online-conformal"
@@ -95,32 +87,7 @@ impl<M: Regressor + Sync + Send, S: ScoreFunction + Sync + Send> PiEstimator for
     }
 }
 
-impl<M: Regressor + Sync + Send, S: ScoreFunction + Sync + Send> PiEstimator for WindowedConformal<M, S> {
-    fn name(&self) -> &str {
-        "windowed-conformal"
-    }
-    fn predict(&self, features: &[f32]) -> Result<f64, CardEstError> {
-        // The windowed calibrator has no standalone point-estimate accessor;
-        // the interval midpoint is NaN while the window is empty (infinite
-        // endpoints), so guard it like any other model output.
-        let iv = self.try_interval(features)?;
-        finite_or_err(iv.midpoint(), "windowed midpoint estimate")
-    }
-    fn interval(&self, features: &[f32]) -> Result<PredictionInterval, CardEstError> {
-        self.try_interval(features)
-    }
-    fn interval_batch(
-        &self,
-        queries: &[Vec<f32>],
-    ) -> Vec<Result<PredictionInterval, CardEstError>> {
-        self.try_interval_batch(queries)
-    }
-    fn observe(&mut self, features: &[f32], y_true: f64) {
-        WindowedConformal::observe(self, features, y_true);
-    }
-}
-
-impl<M: Regressor + Clone + Sync + Send, S: ScoreFunction + Clone + Sync + Send> PiEstimator for PiService<M, S> {
+impl<M: Regressor + Sync + Send, S: ScoreFunction + Sync + Send> PiEstimator for PiService<M, S> {
     fn name(&self) -> &str {
         "pi-service"
     }

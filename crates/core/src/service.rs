@@ -8,11 +8,11 @@
 //! stays quiet for a full window — the recover-don't-crash behaviour Fig. 11
 //! motivates.
 
-use crate::error::{check_alpha, check_lengths, CardEstError};
+use crate::error::CardEstError;
 use crate::exchangeability::{ExchangeabilityMartingale, MartingaleSnapshot};
 use crate::interval::PredictionInterval;
 use crate::monitor::{CoverageDrift, CoverageMonitor, CoverageMonitorConfig};
-use crate::online::{OnlineConformal, WindowedConformal};
+use crate::online::{OnlineConformal, ScoreState};
 use crate::regressor::Regressor;
 use crate::score::ScoreFunction;
 
@@ -53,12 +53,15 @@ impl Default for PiServiceConfig {
 }
 
 /// A self-maintaining PI server around one black-box model.
+///
+/// It holds the model once, inside the full-history calibrator, and scores
+/// each truth with one forward pass that feeds both score sets.
 #[derive(Debug, Clone)]
 pub struct PiService<M, S> {
-    model: M,
-    score: S,
+    /// The model, the score function and the full-history scores.
     online: OnlineConformal<M, S>,
-    window: WindowedConformal<M, S>,
+    /// The recent-window scores, served while Drifted.
+    window: ScoreState,
     monitor: ExchangeabilityMartingale,
     config: PiServiceConfig,
     mode: ServiceMode,
@@ -70,7 +73,7 @@ pub struct PiService<M, S> {
     coverage: CoverageMonitor,
 }
 
-impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
+impl<M: Regressor, S: ScoreFunction> PiService<M, S> {
     /// Builds the service from an initial calibration set.
     ///
     /// # Panics
@@ -83,38 +86,8 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
         calib_y: &[f64],
         config: PiServiceConfig,
     ) -> Self {
-        assert!(config.shift_threshold > 1.0, "shift threshold must exceed 1");
-        let online = OnlineConformal::new(
-            model.clone(),
-            score.clone(),
-            calib_x,
-            calib_y,
-            config.alpha,
-        );
-        let window = WindowedConformal::new(
-            model.clone(),
-            score.clone(),
-            config.window,
-            config.alpha,
-        );
-        let coverage = CoverageMonitor::new(CoverageMonitorConfig {
-            alpha: config.alpha,
-            window: config.window,
-            min_samples: (config.window / 4).max(30),
-            ..Default::default()
-        });
-        PiService {
-            model,
-            score,
-            online,
-            window,
-            monitor: ExchangeabilityMartingale::new(),
-            config,
-            mode: ServiceMode::Stable,
-            since_switch: 0,
-            shifts_detected: 0,
-            coverage,
-        }
+        Self::try_new(model, score, calib_x, calib_y, config)
+            .expect("invalid PiService configuration")
     }
 
     /// Non-panicking [`PiService::new`]: configuration and calibration-shape
@@ -127,15 +100,29 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
         calib_y: &[f64],
         config: PiServiceConfig,
     ) -> Result<Self, CardEstError> {
-        check_lengths(calib_x.len(), calib_y.len())?;
-        check_alpha(config.alpha)?;
-        if config.window == 0 {
-            return Err(CardEstError::InvalidParameter("window must be positive"));
-        }
-        if config.shift_threshold <= 1.0 {
+        let online = OnlineConformal::try_new(model, score, calib_x, calib_y, config.alpha)?;
+        let window = ScoreState::new(Some(config.window), config.alpha)?;
+        // `<=` would accept NaN; the negated `>` rejects it too.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !(config.shift_threshold > 1.0) {
             return Err(CardEstError::InvalidParameter("shift threshold must exceed 1"));
         }
-        Ok(PiService::new(model, score, calib_x, calib_y, config))
+        let coverage = CoverageMonitor::new(CoverageMonitorConfig {
+            alpha: config.alpha,
+            window: config.window,
+            min_samples: (config.window / 4).max(30),
+            ..Default::default()
+        });
+        Ok(PiService {
+            online,
+            window,
+            monitor: ExchangeabilityMartingale::new(),
+            config,
+            mode: ServiceMode::Stable,
+            since_switch: 0,
+            shifts_detected: 0,
+            coverage,
+        })
     }
 
     /// Current serving mode.
@@ -158,26 +145,13 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
     /// threshold applies — clip downstream.
     pub fn interval(&self, features: &[f32]) -> PredictionInterval {
         let _span = ce_telemetry::Span::enter("pi_interval");
-        self.interval_inner(features)
-    }
-
-    /// The uninstrumented serving path, shared by [`PiService::interval`] and
-    /// the batch path (which carries batch-level telemetry instead, so
-    /// per-query spans never land inside the parallel loop).
-    fn interval_inner(&self, features: &[f32]) -> PredictionInterval {
-        match self.mode {
-            ServiceMode::Stable => self.online.interval(features),
-            ServiceMode::Drifted => self.window.interval(features),
-        }
+        self.online.interval_at(features, self.serving_delta())
     }
 
     /// Like [`PiService::interval`], but a non-finite model prediction is
     /// reported as [`CardEstError::NonFiniteScore`].
     pub fn try_interval(&self, features: &[f32]) -> Result<PredictionInterval, CardEstError> {
-        match self.mode {
-            ServiceMode::Stable => self.online.try_interval(features),
-            ServiceMode::Drifted => self.window.try_interval(features),
-        }
+        self.online.try_interval_at(features, self.serving_delta())
     }
 
     /// Serves a whole batch of queries under the *current* mode with one
@@ -195,14 +169,8 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
         M: Sync,
         S: Sync,
     {
-        let _span = ce_telemetry::Span::enter("pi_batch");
-        if ce_telemetry::enabled() {
-            ce_telemetry::histogram("pi.batch_size").record(queries.len() as u64);
-        }
-        match self.mode {
-            ServiceMode::Stable => self.online.interval_batch(queries),
-            ServiceMode::Drifted => self.window.interval_batch(queries),
-        }
+        let _span = batch_span(queries.len());
+        self.online.interval_batch_at(queries, self.serving_delta())
     }
 
     /// Batched [`PiService::try_interval`]: the fallible form of
@@ -212,38 +180,45 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
         &self,
         queries: &[Vec<f32>],
     ) -> Vec<Result<PredictionInterval, CardEstError>> {
-        let _span = ce_telemetry::Span::enter("pi_batch");
-        if ce_telemetry::enabled() {
-            ce_telemetry::histogram("pi.batch_size").record(queries.len() as u64);
-        }
-        match self.mode {
-            ServiceMode::Stable => self.online.try_interval_batch(queries),
-            ServiceMode::Drifted => self.window.try_interval_batch(queries),
-        }
+        let _span = batch_span(queries.len());
+        self.online.try_interval_batch_at(queries, self.serving_delta())
     }
 
-    /// Feeds back an executed query's truth: updates both calibrators and
+    /// Feeds back an executed query's truth: updates both score sets and
     /// the drift monitor, switching modes as needed.
     ///
     /// A non-finite score (corrupt prediction or label) still reaches both
-    /// calibrators — they record it as a conservative `+∞` — but is kept out
+    /// score sets — they record it as a conservative `+∞` — but is kept out
     /// of the drift monitor, whose betting martingale is only defined over
     /// finite scores.
     pub fn observe(&mut self, features: &[f32], y_true: f64) {
+        self.observe_scored(features, y_true);
+    }
+
+    /// [`PiService::observe`], returning the truth's conformal score so the
+    /// healing layer reuses this one forward pass instead of running its
+    /// own.
+    pub(crate) fn observe_scored(&mut self, features: &[f32], y_true: f64) -> f64 {
         let _span = ce_telemetry::Span::enter("pi_observe");
+        let y_hat = self.online.predict(features);
         // Score the served interval against the truth *before* the
         // calibrators absorb it — this is the monitor's honest view of what
         // the service actually answered for this query.
-        let served = self.interval_inner(features);
+        let served = self.online.interval_around(y_hat, self.serving_delta());
         self.coverage.observe_interval(&served, y_true);
-        let score = self.score.score(y_true, self.model.predict(features));
-        self.online.observe(features, y_true);
-        self.window.observe(features, y_true);
+        let score = self.online.score(y_true, y_hat);
+        self.online.observe_score(score);
+        self.window.insert(score);
         if score.is_finite() {
             self.monitor.observe(score);
         }
         self.since_switch += 1;
+        self.update_mode();
+        score
+    }
 
+    /// Switches between Stable and Drifted after an observation.
+    fn update_mode(&mut self) {
         match self.mode {
             ServiceMode::Stable => {
                 let martingale_trip =
@@ -327,7 +302,7 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
         }
     }
 
-    /// Atomically promotes a validated recalibration: both calibrators adopt
+    /// Atomically promotes a validated recalibration: both score sets adopt
     /// `scores` as their entire score set, the drift detector restarts, the
     /// coverage window (and any latched alarm) clears, and serving returns to
     /// [`ServiceMode::Stable`]. This is the commit point of the self-healing
@@ -353,7 +328,7 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
             config: self.config,
             online_scores: self.online.calibration_scores().to_vec(),
             online_nonfinite: self.online.nonfinite_count(),
-            window_scores: self.window.recency_scores().collect(),
+            window_scores: self.window.recency().collect(),
             martingale: self.monitor.snapshot(),
             mode: self.mode,
             since_switch: self.since_switch,
@@ -391,6 +366,16 @@ impl<M: Regressor + Clone, S: ScoreFunction + Clone> PiService<M, S> {
         )?;
         Ok(svc)
     }
+}
+
+/// The span and batch-size record every batched serving call carries
+/// (batch-level, so per-query spans never land inside a parallel loop).
+fn batch_span(len: usize) -> ce_telemetry::Span {
+    let span = ce_telemetry::Span::enter("pi_batch");
+    if ce_telemetry::enabled() {
+        ce_telemetry::histogram("pi.batch_size").record(len as u64);
+    }
+    span
 }
 
 /// The checkpointable state of a [`PiService`] (everything except the

@@ -8,8 +8,7 @@
 //! ```
 
 use cardest::conformal::{
-    AbsoluteResidual, ExchangeabilityMartingale, OnlineConformal, Regressor,
-    ScoreFunction, WindowedConformal,
+    AbsoluteResidual, ExchangeabilityMartingale, OnlineConformal, Regressor, ScoreFunction,
 };
 use cardest::pipeline::{train_mscn, SingleTableBench, SplitSpec};
 use cardest::query::GeneratorConfig;
@@ -35,7 +34,7 @@ fn main() {
         &bench.calib.y[..warm],
         0.1,
     );
-    let mut window = WindowedConformal::new(model, AbsoluteResidual, 200, 0.1);
+    let mut window = OnlineConformal::windowed(model, AbsoluteResidual, 200, 0.1);
     let mut monitor = ExchangeabilityMartingale::new();
 
     let stream_x: Vec<&Vec<f32>> =

@@ -7,8 +7,8 @@
 //! ```
 
 use cardest::conformal::{
-    coverage, AbsoluteResidual, ExchangeabilityMartingale, Regressor, ScoreFunction,
-    SplitConformal, WindowedConformal,
+    coverage, AbsoluteResidual, ExchangeabilityMartingale, OnlineConformal, Regressor,
+    ScoreFunction, SplitConformal,
 };
 use cardest::pipeline::{train_mscn, EncodedSet, SingleTableBench, SplitSpec};
 use cardest::query::{generate_workload, GeneratorConfig};
@@ -73,7 +73,7 @@ fn main() {
 
     // ...and a sliding-window calibration recovers coverage once the window
     // fills with post-shift queries.
-    let mut windowed = WindowedConformal::new(model, AbsoluteResidual, 150, 0.1);
+    let mut windowed = OnlineConformal::windowed(model, AbsoluteResidual, 150, 0.1);
     for (x, &y) in bench.calib.x.iter().zip(&bench.calib.y) {
         windowed.observe(x, y);
     }

@@ -1556,6 +1556,46 @@ mod tests {
         registry.shutdown_batchers();
     }
 
+    /// A checkpoint whose online scores are out of order, re-sealed with a
+    /// valid checksum, is refused at decode. Below `min_replay` nothing else
+    /// would stop it going live with wrong thresholds.
+    #[test]
+    fn reload_refuses_unsorted_online_scores_under_a_valid_checksum() {
+        let registry: ModelRegistry<Model, AbsoluteResidual> =
+            ModelRegistry::new(tuning()).with_factory(factory());
+        let entry = registry.register(DEFAULT_MODEL, engine());
+        assert!(entry.replay_len() < tuning().min_replay, "no replay validation may run");
+        let mut bytes = encode_checkpoint(&entry.engine().checkpoint());
+        // Swap the first and last online scores. The payload starts after a
+        // 24-byte header with alpha, window and shift threshold (8 bytes
+        // each) and the coupling flag (1 byte), then the score count.
+        let count_at = 24 + 25;
+        let n = u64::from_le_bytes(bytes[count_at..][..8].try_into().unwrap()) as usize;
+        let (first, last) = (count_at + 8, count_at + 8 * n);
+        let lowest: [u8; 8] = bytes[first..][..8].try_into().unwrap();
+        let highest: [u8; 8] = bytes[last..][..8].try_into().unwrap();
+        assert_ne!(lowest, highest);
+        bytes[first..][..8].copy_from_slice(&highest);
+        bytes[last..][..8].copy_from_slice(&lowest);
+        // Re-seal with FNV-1a 64 over the payload.
+        let sum = bytes[24..].iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        bytes[16..24].copy_from_slice(&sum.to_le_bytes());
+        let live_before = entry.engine();
+        let probe = br#"{"features":[[12.0]]}"#;
+        let served_before = post(&registry, "/v1/predict", &[], probe);
+        let resp = post(&registry, "/v1/admin/models/default", &[], &bytes);
+        assert_eq!(resp.status, 422, "{}", String::from_utf8_lossy(&resp.body));
+        assert!(String::from_utf8_lossy(&resp.body).contains("online scores unsorted"));
+        assert_eq!(entry.reloads(), 0);
+        assert!(Arc::ptr_eq(&live_before, &entry.engine()), "the live engine must stay");
+        let served_after = post(&registry, "/v1/predict", &[], probe);
+        assert_eq!(served_after.status, 200);
+        assert_eq!(served_after.body, served_before.body);
+        registry.shutdown_batchers();
+    }
+
     #[test]
     fn concurrent_predicts_survive_reloads_with_fresh_bytes() {
         let registry: Arc<ModelRegistry<Model, AbsoluteResidual>> =

@@ -179,3 +179,54 @@ fn mean_coverage_hits_nominal_rate() {
     let mean = total / trials as f64;
     assert!(mean >= 0.78, "mean coverage {mean} below nominal 0.8");
 }
+
+/// Online and windowed calibration hold the conformal guarantee on
+/// exchangeable streams. With `n` scores held, one fresh query is covered
+/// with probability in `[1 − α, 1 − α + 1/(n+1)]`; over many seeded
+/// streams the mean coverage must sit in that range, widened by four
+/// binomial standard deviations on each side.
+#[test]
+fn online_and_windowed_mean_coverage_stays_in_the_conformal_band() {
+    use cardest::conformal::OnlineConformal;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let alpha = 0.1;
+    let (n_online, window) = (24usize, 19usize);
+    // Enough trials that serving one order statistic too high or too low
+    // leaves the band for the online calibrator.
+    let trials = 10_000;
+    let model = |f: &[f32]| f64::from(f[0]);
+    let draw = |rng: &mut StdRng| {
+        let x = rng.gen_range(0.0..1.0f32);
+        (vec![x], f64::from(x) + rng.gen_range(-1.0..1.0))
+    };
+    let (mut online_hits, mut window_hits) = (0usize, 0usize);
+    for seed in 0..trials {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut online = OnlineConformal::new(model, AbsoluteResidual, &[], &[], alpha);
+        let mut windowed = OnlineConformal::windowed(model, AbsoluteResidual, window, alpha);
+        // The window sees three windows' worth and keeps the last; the
+        // online calibrator keeps everything it sees, the last `n_online`.
+        let stream = 3 * window;
+        for i in 0..stream {
+            let (x, y) = draw(&mut rng);
+            if i >= stream - n_online {
+                online.observe(&x, y);
+            }
+            windowed.observe(&x, y);
+        }
+        assert_eq!(online.calibration_size(), n_online);
+        assert_eq!(windowed.calibration_size(), window);
+        let (x, y) = draw(&mut rng);
+        online_hits += usize::from(online.interval(&x).contains(y));
+        window_hits += usize::from(windowed.interval(&x).contains(y));
+    }
+    for (name, hits, n) in [("online", online_hits, n_online), ("windowed", window_hits, window)] {
+        let mean = hits as f64 / trials as f64;
+        let (lo, hi) = (1.0 - alpha, 1.0 - alpha + 1.0 / (n as f64 + 1.0));
+        let sd = |p: f64| (p * (1.0 - p) / trials as f64).sqrt();
+        assert!(
+            mean >= lo - 4.0 * sd(lo) && mean <= hi + 4.0 * sd(hi),
+            "{name} mean coverage {mean} outside [{lo}, {hi}] ± 4 sd over {trials} seeds"
+        );
+    }
+}

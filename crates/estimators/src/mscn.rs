@@ -9,10 +9,12 @@
 //! error in log-selectivity space — the smooth surrogate of the mean-q-error
 //! objective — or a pinball loss when used as a CQR quantile head.
 
+use std::cell::RefCell;
+
 use ce_conformal::Regressor;
 use ce_nn::{
     segment_mean_backward, segment_mean_into, AdamConfig, Loss, Matrix, Mlp, MlpConfig, Mse,
-    Pinball,
+    Pinball, TASK_FLOPS,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -123,13 +125,6 @@ impl MscnLayout {
         }
     }
 
-    /// Number of predicates in one canonical encoding.
-    fn predicate_count(&self, features: &[f32]) -> usize {
-        let mut count = 0;
-        self.for_each_predicate(features, |_, _| count += 1);
-        count
-    }
-
     /// Writes the context vector of one canonical encoding with
     /// `predicates` predicates: the predicate share of the schema (single
     /// table) or the join flags (star).
@@ -139,6 +134,38 @@ impl MscnLayout {
             MscnLayout::Star(t) => out.copy_from_slice(t.join_flags(features)),
         }
     }
+}
+
+/// The buffers a forward task packs and computes in. Each thread keeps one
+/// in [`WORKSPACE`], sized on first use and never shrunk, so a warm forward
+/// allocates nothing but its result.
+struct Workspace {
+    /// Predicates per query.
+    segments: Vec<usize>,
+    /// Every predicate row, `[column one-hot, is_point, lo, hi]`, flat.
+    preds: Vec<f32>,
+    /// Top-network input rows: the pooled predicates, then the context.
+    top_in: Vec<f32>,
+    /// The two activation buffers both networks run through.
+    out: Vec<f32>,
+    scratch: Vec<f32>,
+}
+
+impl Workspace {
+    const fn new() -> Self {
+        Workspace {
+            segments: Vec::new(),
+            preds: Vec::new(),
+            top_in: Vec::new(),
+            out: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+}
+
+thread_local! {
+    /// This thread's forward workspace; pool workers keep their own.
+    static WORKSPACE: RefCell<Workspace> = const { RefCell::new(Workspace::new()) };
 }
 
 /// The trained MSCN model.
@@ -229,13 +256,18 @@ impl Mscn {
         batch: &[usize],
         loss: TrainLoss,
     ) -> f32 {
-        let queries = || batch.iter().map(|&i| features[i].as_slice());
-        let segments: Vec<usize> = queries().map(|q| self.layout.predicate_count(q)).collect();
-        let (pred_matrix, mut top_in) = self.pack(queries(), &segments);
+        // Packed into fresh buffers, which become the training matrices.
+        let queries: Vec<&[f32]> = batch.iter().map(|&i| features[i].as_slice()).collect();
+        let mut packed = Workspace::new();
+        self.pack(&queries, &mut packed);
+        let Workspace { segments, preds, top_in, .. } = packed;
+        let width = self.pred_mlp.input_dim();
+        let pred_matrix = Matrix::from_vec(preds.len() / width, width, preds);
+        let mut top_in = Matrix::from_vec(batch.len(), self.top_mlp.input_dim(), top_in);
 
         // Forward: predicate module -> pool -> (with context) top.
         let (pred_hidden, pred_cache) = self.pred_mlp.forward(&pred_matrix);
-        segment_mean_into(&pred_hidden, &segments, &mut top_in);
+        segment_mean_into(pred_hidden.data(), self.hidden, &segments, top_in.data_mut());
         let (out, top_cache) = self.top_mlp.forward(&top_in);
 
         // Loss gradient on log-selectivity.
@@ -269,49 +301,69 @@ impl Mscn {
         value
     }
 
-    /// Packs encoded queries for the forward pass, given each one's
-    /// predicate count in `segments`. Returns every predicate row
-    /// (`[column one-hot, is_point, lo, hi]`) in one flat matrix, and the
-    /// top-network input with each query's context already in the tail of
-    /// its row; the pooled head of each row is left for the forward pass.
-    fn pack<'q>(
-        &self,
-        queries: impl Iterator<Item = &'q [f32]>,
-        segments: &[usize],
-    ) -> (Matrix, Matrix) {
+    /// Packs encoded queries into `ws` for a forward pass: each one's
+    /// predicate count, every predicate row (`[column one-hot, is_point, lo,
+    /// hi]`) in one flat buffer, and the top-network input rows with each
+    /// query's context already in the tail. The pooled head of each top row
+    /// is left for the forward pass.
+    fn pack<Q: AsRef<[f32]>>(&self, queries: &[Q], ws: &mut Workspace) {
         let n_cols = self.layout.n_columns();
-        let mut preds = Matrix::zeros(segments.iter().sum(), n_cols + 3);
-        let mut top_in = Matrix::zeros(segments.len(), self.top_mlp.input_dim());
-        let mut row = 0;
-        for ((q, features), &count) in queries.enumerate().zip(segments) {
+        let width = self.pred_mlp.input_dim();
+        let top_width = self.top_mlp.input_dim();
+        ws.segments.clear();
+        ws.preds.clear();
+        ws.top_in.clear();
+        ws.top_in.resize(queries.len() * top_width, 0.0);
+        for (features, top_row) in queries.iter().zip(ws.top_in.chunks_exact_mut(top_width)) {
+            let features = features.as_ref();
+            let start = ws.preds.len();
             self.layout.for_each_predicate(features, |column, block| {
-                let dst = preds.row_mut(row);
-                dst[column] = 1.0;
-                dst[n_cols..].copy_from_slice(block);
-                row += 1;
+                let row = ws.preds.len();
+                ws.preds.resize(row + width, 0.0);
+                ws.preds[row + column] = 1.0;
+                ws.preds[row + n_cols..row + width].copy_from_slice(block);
             });
-            self.layout.write_context(features, count, &mut top_in.row_mut(q)[self.hidden..]);
+            let count = (ws.preds.len() - start) / width;
+            ws.segments.push(count);
+            self.layout.write_context(features, count, &mut top_row[self.hidden..]);
         }
-        (preds, top_in)
     }
 
-    /// The inference forward over packed queries: predicate module, segment
-    /// mean into the head of each `top_in` row, top network. Returns the
-    /// `queries × 1` log-selectivities. The two networks share one pair of
-    /// activation buffers.
-    fn forward(&self, preds: &Matrix, segments: &[usize], top_in: &mut Matrix) -> Matrix {
-        let (mut out, mut scratch) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        self.pred_mlp.infer_into(preds, &mut out, &mut scratch);
-        segment_mean_into(&out, segments, top_in);
-        self.top_mlp.infer_into(top_in, &mut out, &mut scratch);
-        out
+    /// The forward of one task, run serially in this thread's workspace:
+    /// pack `queries`, run the predicate network over all their predicate
+    /// rows, mean-pool each query's rows into the head of its top-network
+    /// input row, run the top network, and write each query's
+    /// log-selectivity to `out`. A query's rows see the same arithmetic
+    /// whichever queries share its task, so its output does not depend on
+    /// how a batch is cut.
+    fn forward_task<Q: AsRef<[f32]>>(&self, queries: &[Q], out: &mut [f64]) {
+        WORKSPACE.with_borrow_mut(|ws| {
+            self.pack(queries, ws);
+            let pooled = self.pred_mlp.infer_rows(&ws.preds, &mut ws.out, &mut ws.scratch);
+            segment_mean_into(pooled, self.hidden, &ws.segments, &mut ws.top_in);
+            let log_sel = self.top_mlp.infer_rows(&ws.top_in, &mut ws.out, &mut ws.scratch);
+            for (o, &v) in out.iter_mut().zip(log_sel) {
+                *o = f64::from(v);
+            }
+        });
     }
 
-    /// Predicted log-selectivity for one encoded query.
+    /// Queries per forward task. Enough that a task's products reach about
+    /// [`TASK_FLOPS`] mul-adds even if every query had one predicate (one
+    /// row through each network, about one mul-add per parameter), and
+    /// never fewer than 8, so an 8-query batch is one inline task. Depends
+    /// only on the model's shape, never on the batch or the thread count.
+    fn queries_per_task(&self) -> usize {
+        let per_query = self.pred_mlp.parameter_count() + self.top_mlp.parameter_count();
+        TASK_FLOPS.div_ceil(per_query).max(8)
+    }
+
+    /// Predicted log-selectivity for one encoded query: the batch forward's
+    /// task over a single query, with no pool dispatch.
     pub fn predict_log_selectivity(&self, features: &[f32]) -> f64 {
-        let segments = [self.layout.predicate_count(features)];
-        let (preds, mut top_in) = self.pack(std::iter::once(features), &segments);
-        f64::from(self.forward(&preds, &segments, &mut top_in).data()[0])
+        let mut out = [0.0];
+        self.forward_task(std::slice::from_ref(&features), &mut out);
+        out[0]
     }
 
     /// Predicted selectivity, clamped to `[sel_floor, 1]`.
@@ -319,26 +371,29 @@ impl Mscn {
         self.predict_log_selectivity(features).exp().clamp(self.sel_floor, 1.0)
     }
 
-    /// Predicted log-selectivities for a whole batch of encoded queries in
-    /// one pass: every query's predicate rows are packed into a single flat
-    /// matrix and run through the predicate module once, then
-    /// segment-pooled straight into the top network's input rows (which
-    /// already carry each query's context) for one top-network pass.
+    /// Predicted log-selectivities for a whole batch of encoded queries. The
+    /// batch is cut at query boundaries into tasks of a query count derived
+    /// from the model's shape (about [`TASK_FLOPS`] mul-adds each, and at
+    /// least 8 queries), dispatched once over the `ce-parallel` pool; a
+    /// batch that fits one task runs inline on the caller. Each task packs
+    /// its queries' predicate rows into one flat buffer, runs the predicate
+    /// network once over them, segment-pools straight into the top
+    /// network's input rows (which already carry each query's context) and
+    /// runs the top network once, all in its thread's reused workspace.
     ///
     /// Output `i` is bit-identical to `predict_log_selectivity(&queries[i])`
-    /// — matmul rows and segment means accumulate independently per query —
-    /// but the batch amortizes layer dispatch, weight traffic, and
-    /// allocations across the batch, which is what makes the serving path's
-    /// micro-batching pay off below it.
+    /// at any thread count — matmul rows and segment means accumulate
+    /// independently per query — but the batch amortizes weight traffic and
+    /// dispatch across its queries, which is what makes the serving path's
+    /// micro-batching pay off below it. A warm call allocates only its
+    /// result and the pool's per-dispatch bookkeeping.
     pub fn predict_log_selectivity_batch(&self, queries: &[Vec<f32>]) -> Vec<f64> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let segments: Vec<usize> =
-            queries.iter().map(|q| self.layout.predicate_count(q)).collect();
-        let (preds, mut top_in) = self.pack(queries.iter().map(Vec::as_slice), &segments);
-        let out = self.forward(&preds, &segments, &mut top_in);
-        out.data().iter().copied().map(f64::from).collect()
+        let mut out = vec![0.0; queries.len()];
+        let per_task = self.queries_per_task();
+        ce_parallel::par_chunks_mut(&mut out, per_task, |task, out| {
+            self.forward_task(&queries[task * per_task..][..out.len()], out);
+        });
+        out
     }
 
     /// Batched [`Mscn::predict_selectivity`]; see
@@ -489,9 +544,45 @@ mod tests {
         Mscn::fit(MscnLayout::Single(feat), &[], &[], &MscnConfig::default());
     }
 
+    /// The chunked batch forward against the per-query forward, `to_bits`:
+    /// batch sizes around the task size and the SIMD register blocks, at
+    /// several thread counts, with queries that have no predicates mixed in.
+    fn assert_chunked_forward_matches_per_query(model: &Mscn, x: &[Vec<f32>]) {
+        let no_predicates = vec![0.0; model.layout().feature_width()];
+        model.layout().for_each_predicate(&no_predicates, |_, _| panic!("a predicate"));
+        let pool: Vec<Vec<f32>> = x
+            .iter()
+            .enumerate()
+            .flat_map(|(i, q)| {
+                let extra = (i % 5 == 0).then(|| no_predicates.clone());
+                std::iter::once(q.clone()).chain(extra)
+            })
+            .collect();
+        let single: Vec<u64> =
+            pool.iter().map(|q| model.predict_log_selectivity(q).to_bits()).collect();
+        let per_task = model.queries_per_task();
+        assert!((8..64).contains(&per_task), "task of {per_task} queries");
+        for n in [0, 1, 7, 8, 63, 64, 65, 256, 257] {
+            // Start part-way into the pool, so each size sees other queries.
+            let start = (n * 7) % pool.len();
+            let batch: Vec<Vec<f32>> = pool.iter().cycle().skip(start).take(n).cloned().collect();
+            let want: Vec<u64> = (0..n).map(|i| single[(start + i) % pool.len()]).collect();
+            for threads in [1, 2, 3, 4] {
+                let got: Vec<u64> = ce_parallel::with_threads(threads, || {
+                    model.predict_log_selectivity_batch(&batch)
+                })
+                .into_iter()
+                .map(f64::to_bits)
+                .collect();
+                assert_eq!(got, want, "batch of {n} at {threads} threads");
+            }
+        }
+    }
+
     #[test]
     fn batched_prediction_is_bit_identical_to_per_query() {
         let (model, _, x, _) = trained_mscn(200, 10);
+        assert_chunked_forward_matches_per_query(&model, &x);
         let batch = model.predict_selectivity_batch(&x);
         assert_eq!(batch.len(), x.len());
         for (f, &b) in x.iter().zip(&batch) {
@@ -532,5 +623,6 @@ mod tests {
                 "batched star forward diverged from per-query: {single} vs {b}"
             );
         }
+        assert_chunked_forward_matches_per_query(&model, &x);
     }
 }

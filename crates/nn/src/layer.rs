@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 
 use crate::adam::{Adam, AdamConfig};
 use crate::init::Init;
-use crate::matrix::Matrix;
+use crate::matrix::{gemm_rows, Matrix};
 
 /// Elementwise activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -20,13 +20,15 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation elementwise.
-    pub fn forward(self, m: &mut Matrix) {
+    /// The activation of one pre-activation value. Layers apply it in the
+    /// kernel's fused store, right after the bias.
+    #[inline(always)]
+    pub(crate) fn apply(self, v: f32) -> f32 {
         match self {
-            Activation::Relu => m.map_inplace(|v| v.max(0.0)),
-            Activation::Tanh => m.map_inplace(f32::tanh),
-            Activation::Sigmoid => m.map_inplace(|v| 1.0 / (1.0 + (-v).exp())),
-            Activation::Identity => {}
+            Activation::Relu => v.max(0.0),
+            Activation::Tanh => v.tanh(),
+            Activation::Sigmoid => 1.0 / (1.0 + (-v).exp()),
+            Activation::Identity => v,
         }
     }
 
@@ -112,25 +114,27 @@ impl Dense {
 
     /// Forward pass returning the output and the cache for backward.
     pub fn forward(&self, input: &Matrix) -> (Matrix, DenseCache) {
-        let mut out = input.matmul(&self.weights);
-        out.add_row_broadcast(&self.bias);
-        self.activation.forward(&mut out);
+        let out = self.infer(input);
         (out.clone(), DenseCache { input: input.clone(), output: out })
     }
 
-    /// Forward pass without caching (inference).
+    /// Forward pass without caching (inference), with the bias and
+    /// activation fused into the kernel's store.
     pub fn infer(&self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.infer_into(input, &mut out);
-        out
+        input.matmul_bias_act(&self.weights, &self.bias, self.activation)
     }
 
-    /// [`Dense::infer`] written into `out`, which is reshaped and keeps its
-    /// allocation when it is large enough.
-    pub(crate) fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
-        input.matmul_into(&self.weights, out);
-        out.add_row_broadcast(&self.bias);
-        self.activation.forward(out);
+    /// The forward of the row-major `input` rows on the calling thread, into
+    /// a prefix of `out`, which grows when it is too short and never
+    /// shrinks. Returns that prefix. Bit-identical to [`Dense::infer`].
+    pub(crate) fn infer_rows<'o>(&self, input: &[f32], out: &'o mut Vec<f32>) -> &'o [f32] {
+        let len = input.len() / self.input_dim() * self.output_dim();
+        if out.len() < len {
+            out.resize(len, 0.0);
+        }
+        let out = &mut out[..len];
+        gemm_rows(input, &self.weights, &self.bias, self.activation, out);
+        out
     }
 
     /// Backward pass: consumes `grad_output` (dL/dy), updates parameters with
@@ -194,18 +198,16 @@ mod tests {
 
     #[test]
     fn relu_forward_clamps_negatives() {
-        let mut m = Matrix::row_vector(&[-1.0, 0.5]);
-        Activation::Relu.forward(&mut m);
-        assert_eq!(m.data(), &[0.0, 0.5]);
+        let relu = |v| Activation::Relu.apply(v);
+        assert_eq!([relu(-1.0), relu(0.5)], [0.0, 0.5]);
     }
 
     #[test]
     fn sigmoid_is_bounded() {
-        let mut m = Matrix::row_vector(&[-100.0, 0.0, 100.0]);
-        Activation::Sigmoid.forward(&mut m);
-        assert!(m.data()[0] < 1e-6);
-        assert!((m.data()[1] - 0.5).abs() < 1e-6);
-        assert!(m.data()[2] > 1.0 - 1e-6);
+        let sigmoid = |v| Activation::Sigmoid.apply(v);
+        assert!(sigmoid(-100.0) < 1e-6);
+        assert!((sigmoid(0.0) - 0.5).abs() < 1e-6);
+        assert!(sigmoid(100.0) > 1.0 - 1e-6);
     }
 
     #[test]

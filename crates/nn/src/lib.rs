@@ -46,7 +46,7 @@ pub use init::Init;
 pub use layer::{Activation, Dense, DenseCache};
 pub use loss::{Huber, LogQError, Loss, Mse, Pinball};
 pub use masked::{made_masks, MaskedCache, MaskedDense};
-pub use matrix::{matmul_kernel_level, Matrix};
+pub use matrix::{matmul_kernel_level, Matrix, TASK_FLOPS};
 pub use mlp::{Mlp, MlpCache, MlpConfig};
 pub use pooling::{segment_mean_backward, segment_mean_into};
 pub use softmax::{class_probability, softmax_cross_entropy, softmax_rows};

@@ -75,18 +75,14 @@ impl MaskedDense {
 
     /// Forward pass with cache.
     pub fn forward(&self, input: &Matrix) -> (Matrix, MaskedCache) {
-        let mut out = input.matmul(&self.weights);
-        out.add_row_broadcast(&self.bias);
-        self.activation.forward(&mut out);
+        let out = self.infer(input);
         (out.clone(), MaskedCache { input: input.clone(), output: out })
     }
 
-    /// Inference-only forward.
+    /// Inference-only forward, with the bias and activation fused into the
+    /// kernel's store.
     pub fn infer(&self, input: &Matrix) -> Matrix {
-        let mut out = input.matmul(&self.weights);
-        out.add_row_broadcast(&self.bias);
-        self.activation.forward(&mut out);
-        out
+        input.matmul_bias_act(&self.weights, &self.bias, self.activation)
     }
 
     /// Backward pass: masked gradient, Adam update, returns dL/dx.

@@ -9,7 +9,9 @@
 //! level is picked once per process from the host's features, and blocks of
 //! output rows are dispatched in parallel on `ce-parallel`. `t_matmul` and
 //! `matmul_t` transpose their strided operand once and then run the same
-//! kernel.
+//! kernel. A dense layer's bias and activation are fused into the kernel's
+//! store: each register block's rows get them right after they are written,
+//! while still in cache, instead of in two passes over the whole output.
 //!
 //! # Determinism
 //!
@@ -17,27 +19,36 @@
 //! reduction dimension in strictly increasing index order, into a single
 //! accumulator, with a separate multiply and add (no fused multiply-add).
 //! The register block and the SIMD width only regroup *independent* output
-//! elements, never reassociate a sum. Results are therefore bit-identical at
-//! any thread count and at every kernel level (see `DESIGN.md`,
-//! "Determinism contract").
+//! elements, never reassociate a sum. A fused bias is added to the finished
+//! sum and the activation applied to that, with the same `f32` operations as
+//! a separate bias pass and activation pass. Results are therefore
+//! bit-identical at any thread count, at every kernel level and fused or not
+//! (see `DESIGN.md`, "Determinism contract").
 
 use std::sync::OnceLock;
 
 use ce_parallel::par_chunks_mut;
 
+use crate::layer::Activation;
+
 /// Mul-adds per parallel task. On a 2-vCPU AVX-512 host the kernel runs
 /// 18–33 mul-adds per ns, so a task takes 8–14 µs: five times or more the
-/// 1.3–1.7 µs the pool needs to hand a task to a worker. An 8-query MSCN
-/// forward (its largest layer 22 × 64 × 64 = 90k) then runs inline on the
-/// caller, and only training- and bulk-sized products are split.
-const TASK_FLOPS: usize = 1 << 18;
+/// 1.3–1.7 µs the pool needs to hand a task to a worker. Products split
+/// their output rows by it; the MSCN serving forward instead cuts a batch at
+/// query boundaries into tasks of about this many mul-adds and runs each
+/// task's products serially, so an 8-query forward is one inline task.
+pub const TASK_FLOPS: usize = 1 << 18;
 
 /// Smallest product (in flops, `2·m·k·n`) whose throughput is published to
 /// the `nn.matmul_gflops` telemetry gauge while telemetry is enabled. The
 /// floor keeps single-row products untimed, but batched serving products
 /// clear it (an 8-query MSCN layer is 40k–180k flops), so each of those
 /// reads the clock twice and stores to the gauge through a handle fetched
-/// once per process: no lock and no allocation after the first.
+/// once per process: no lock and no allocation after the first. Products
+/// run serially by [`gemm_rows`] are not timed: an MSCN forward runs three
+/// or four of them per task, and per-task clock reads and gauge stores
+/// from every worker would cost the serving path more than the gauge is
+/// worth; training and the pool-dispatched products keep it current.
 const MATMUL_GAUGE_MIN_FLOPS: f64 = 32_768.0;
 
 /// Output columns in one register strip: one AVX-512 vector, two AVX2
@@ -112,20 +123,35 @@ pub fn matmul_kernel_level() -> &'static str {
     }
 }
 
-/// `out = a · b` at `level`, for row-major `a` (`out.len() / n` rows × `k`)
-/// and `b` (`k × n`). Every element of `out` is overwritten.
-fn gemm_at(level: Level, a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+/// `out = act(a · b + bias)` at `level`, for row-major `a` (`out.len() / n`
+/// rows × `k`) and `b` (`k × n`); an empty `bias` adds nothing. Every
+/// element of `out` is overwritten.
+#[allow(clippy::too_many_arguments)]
+fn gemm_at(
+    level: Level,
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    bias: &[f32],
+    act: Activation,
+    out: &mut [f32],
+) {
     // A cached feature read, negligible next to a product; it keeps a level
     // the host lacks from reaching the `unsafe` calls in a release build.
     assert!(level.available(), "{level:?} is not available on this host");
+    assert!(bias.is_empty() || bias.len() == n, "bias length {} for {n} columns", bias.len());
+    if out.is_empty() {
+        return;
+    }
     match level {
         // SAFETY: the assert above saw the feature on this host.
         #[cfg(target_arch = "x86_64")]
-        Level::Avx512 => unsafe { gemm_avx512(a, k, b, n, out) },
+        Level::Avx512 => unsafe { gemm_avx512(a, k, b, n, bias, act, out) },
         // SAFETY: as above.
         #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => unsafe { gemm_avx2(a, k, b, n, out) },
-        _ => gemm::<2>(a, k, b, n, out),
+        Level::Avx2 => unsafe { gemm_avx2(a, k, b, n, bias, act, out) },
+        _ => gemm::<2>(a, k, b, n, bias, act, out),
     }
 }
 
@@ -135,8 +161,16 @@ fn gemm_at(level: Level, a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f3
 /// Callable only where `is_x86_feature_detected!("avx512f")` holds.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn gemm_avx512(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    gemm::<8>(a, k, b, n, out);
+fn gemm_avx512(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    bias: &[f32],
+    act: Activation,
+    out: &mut [f32],
+) {
+    gemm::<8>(a, k, b, n, bias, act, out);
 }
 
 /// [`gemm`] compiled for AVX2.
@@ -145,42 +179,68 @@ fn gemm_avx512(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
 /// Callable only where `is_x86_feature_detected!("avx2")` holds.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn gemm_avx2(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    gemm::<4>(a, k, b, n, out);
+fn gemm_avx2(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    bias: &[f32],
+    act: Activation,
+    out: &mut [f32],
+) {
+    gemm::<4>(a, k, b, n, bias, act, out);
 }
 
 /// The kernel's one source: the rows of `out` in register blocks of `MR`,
 /// then the fewer-than-`MR` left over in blocks of 4, 2 and 1. Always
 /// inlined, so each `#[target_feature]` caller compiles it for its level.
 #[inline(always)]
-fn gemm<const MR: usize>(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+fn gemm<const MR: usize>(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    bias: &[f32],
+    act: Activation,
+    out: &mut [f32],
+) {
     if k == 0 {
         out.fill(0.0);
+        finish(out, n, bias, act);
         return;
     }
     let rows = out.len() / n;
     let mut i = 0;
     while i + MR <= rows {
-        block::<MR>(&a[i * k..(i + MR) * k], k, b, n, &mut out[i * n..(i + MR) * n]);
+        block::<MR>(&a[i * k..(i + MR) * k], k, b, n, bias, act, &mut out[i * n..(i + MR) * n]);
         i += MR;
     }
     if rows - i >= 4 {
-        block::<4>(&a[i * k..(i + 4) * k], k, b, n, &mut out[i * n..(i + 4) * n]);
+        block::<4>(&a[i * k..(i + 4) * k], k, b, n, bias, act, &mut out[i * n..(i + 4) * n]);
         i += 4;
     }
     if rows - i >= 2 {
-        block::<2>(&a[i * k..(i + 2) * k], k, b, n, &mut out[i * n..(i + 2) * n]);
+        block::<2>(&a[i * k..(i + 2) * k], k, b, n, bias, act, &mut out[i * n..(i + 2) * n]);
         i += 2;
     }
     if rows - i >= 1 {
-        block::<1>(&a[i * k..(i + 1) * k], k, b, n, &mut out[i * n..(i + 1) * n]);
+        block::<1>(&a[i * k..(i + 1) * k], k, b, n, bias, act, &mut out[i * n..(i + 1) * n]);
     }
 }
 
 /// One register block: `MR` rows of `out`, in strips of `NR` columns, then
-/// the fewer-than-`NR` left over in strips of 8, 4, 2 and 1.
+/// the fewer-than-`NR` left over in strips of 8, 4, 2 and 1; then the
+/// layer's bias and activation on those rows, while they are still in cache.
 #[inline(always)]
-fn block<const MR: usize>(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+fn block<const MR: usize>(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    bias: &[f32],
+    act: Activation,
+    out: &mut [f32],
+) {
     let mut rows = a.chunks_exact(k);
     let a_rows: [&[f32]; MR] = std::array::from_fn(|_| rows.next().expect("MR rows of a"));
     let mut j0 = 0;
@@ -202,6 +262,38 @@ fn block<const MR: usize>(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f
     }
     if n - j0 >= 1 {
         strip::<MR, 1>(&a_rows, b, n, j0, out);
+    }
+    finish(out, n, bias, act);
+}
+
+/// The fused store's second half: `v = act(v + bias[j])` over the `n`-wide
+/// rows of `out` (no add when `bias` is empty). The same `f32` operations,
+/// in the same order per element, as a bias pass followed by an activation
+/// pass. Each arm passes its variant as a constant, so the per-element
+/// `match` in [`Activation::apply`] folds away.
+#[inline(always)]
+fn finish(out: &mut [f32], n: usize, bias: &[f32], act: Activation) {
+    match act {
+        Activation::Relu => epilogue(out, n, bias, |v| Activation::Relu.apply(v)),
+        Activation::Tanh => epilogue(out, n, bias, |v| Activation::Tanh.apply(v)),
+        Activation::Sigmoid => epilogue(out, n, bias, |v| Activation::Sigmoid.apply(v)),
+        Activation::Identity if !bias.is_empty() => epilogue(out, n, bias, |v| v),
+        Activation::Identity => {}
+    }
+}
+
+#[inline(always)]
+fn epilogue(out: &mut [f32], n: usize, bias: &[f32], f: impl Fn(f32) -> f32) {
+    if bias.is_empty() {
+        for v in out.iter_mut() {
+            *v = f(*v);
+        }
+    } else {
+        for row in out.chunks_exact_mut(n) {
+            for (v, &b) in row.iter_mut().zip(bias) {
+                *v = f(*v + b);
+            }
+        }
     }
 }
 
@@ -230,6 +322,28 @@ fn strip<const MR: usize, const W: usize>(
     for (r, acc_row) in acc.iter().enumerate() {
         out[r * n + j0..r * n + j0 + W].copy_from_slice(acc_row);
     }
+}
+
+/// `out = act(input · weights + bias)` on the calling thread, for the
+/// row-major `input` rows (`out.len() / weights.cols()` of them): the
+/// kernel and fused store of [`Matrix::matmul_bias_act`] without the pool,
+/// for callers that already split their work into tasks. Every element of
+/// `out` is overwritten.
+///
+/// # Panics
+/// Panics if `input` and `out` do not hold the same number of rows, or on a
+/// bias of the wrong length.
+pub(crate) fn gemm_rows(
+    input: &[f32],
+    weights: &Matrix,
+    bias: &[f32],
+    act: Activation,
+    out: &mut [f32],
+) {
+    let (k, n) = (weights.rows, weights.cols);
+    let rows = out.len() / n.max(1);
+    assert_eq!(input.len(), rows * k, "input holds {} values for {rows} rows of {k}", input.len());
+    gemm_at(Level::detected(), input, k, &weights.data, n, bias, act, out);
 }
 
 /// A dense row-major matrix of `f32` values.
@@ -350,49 +464,50 @@ impl Matrix {
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_into(other, &mut out);
-        out
+        self.matmul_bias_act(other, &[], Activation::Identity)
     }
 
-    /// [`Matrix::matmul`] written into `out`, which is reshaped to the
-    /// product's shape and keeps its allocation when it is large enough.
+    /// `act(self * other + bias)`: a dense layer's forward, with the bias
+    /// and activation fused into the kernel's store (an empty `bias` adds
+    /// nothing, so a plain product passes `&[]` and
+    /// [`Activation::Identity`]). Runs in parallel as [`Matrix::matmul`]
+    /// does.
     ///
     /// # Panics
-    /// Panics on inner-dimension mismatch.
-    pub(crate) fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+    /// Panics on inner-dimension mismatch or a bias of the wrong length.
+    pub(crate) fn matmul_bias_act(&self, other: &Matrix, bias: &[f32], act: Activation) -> Matrix {
         let flops = 2.0 * self.rows as f64 * self.cols as f64 * other.cols as f64;
         let timed = ce_telemetry::enabled() && flops >= MATMUL_GAUGE_MIN_FLOPS;
         let start = timed.then(std::time::Instant::now);
-        self.matmul_at(Level::detected(), other, out);
+        let out = self.matmul_at(Level::detected(), other, bias, act);
         if let Some(start) = start {
             let secs = start.elapsed().as_secs_f64();
             if secs > 0.0 {
                 gflops_gauge().set(flops / secs / 1e9);
             }
         }
+        out
     }
 
-    /// `self * other` into `out` at kernel `level`.
-    fn matmul_at(&self, level: Level, other: &Matrix, out: &mut Matrix) {
+    /// `act(self * other + bias)` at kernel `level`. The output comes zeroed
+    /// from the allocator and the kernel overwrites every element.
+    fn matmul_at(&self, level: Level, other: &Matrix, bias: &[f32], act: Activation) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul dimension mismatch: {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
         let (k, n) = (self.cols, other.cols);
-        // Reshape in place; the kernel overwrites every element.
-        (out.rows, out.cols) = (self.rows, n);
-        out.data.clear();
-        out.data.resize(self.rows * n, 0.0);
+        let mut out = Matrix::zeros(self.rows, n);
         if out.data.is_empty() {
-            return;
+            return out;
         }
         let block = rows_per_task(k * n);
         par_chunks_mut(&mut out.data, block * n, |blk, out_block| {
             let a = &self.data[blk * block * k..][..out_block.len() / n * k];
-            gemm_at(level, a, k, &other.data, n, out_block);
+            gemm_at(level, a, k, &other.data, n, bias, act, out_block);
         });
+        out
     }
 
     /// `self^T * other`: the same kernel as [`Matrix::matmul`] after one
@@ -411,9 +526,7 @@ impl Matrix {
             "t_matmul dimension mismatch: ({}x{})^T * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(0, 0);
-        self.transpose().matmul_at(level, other, &mut out);
-        out
+        self.transpose().matmul_at(level, other, &[], Activation::Identity)
     }
 
     /// `self * other^T`: the same kernel as [`Matrix::matmul`] after one
@@ -432,9 +545,7 @@ impl Matrix {
             "matmul_t dimension mismatch: {}x{} * ({}x{})^T",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_at(level, &other.transpose(), &mut out);
-        out
+        self.matmul_at(level, &other.transpose(), &[], Activation::Identity)
     }
 
     /// Returns the transpose.
@@ -446,16 +557,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Adds `row` (a 1 x cols bias) to every row of `self` in place.
-    pub fn add_row_broadcast(&mut self, row: &[f32]) {
-        assert_eq!(row.len(), self.cols, "broadcast row length mismatch");
-        for r in 0..self.rows {
-            for (v, &b) in self.row_mut(r).iter_mut().zip(row) {
-                *v += b;
-            }
-        }
     }
 
     /// Elementwise in-place map.
@@ -577,11 +678,13 @@ mod tests {
     }
 
     #[test]
-    fn add_row_broadcast_adds_bias_to_each_row() {
-        let mut m = Matrix::zeros(2, 2);
-        m.add_row_broadcast(&[1.0, -2.0]);
+    fn fused_store_adds_bias_to_each_row() {
+        let (a, b) = (Matrix::zeros(2, 3), Matrix::zeros(3, 2));
+        let m = a.matmul_bias_act(&b, &[1.0, -2.0], Activation::Identity);
         assert_eq!(m.row(0), &[1.0, -2.0]);
         assert_eq!(m.row(1), &[1.0, -2.0]);
+        let m = a.matmul_bias_act(&b, &[1.0, -2.0], Activation::Relu);
+        assert_eq!(m.data(), &[1.0, 0.0, 1.0, 0.0]);
     }
 
     #[test]
@@ -679,6 +782,26 @@ mod tests {
         Matrix::from_vec(rows, cols, data)
     }
 
+    /// The unfused layer: the reference product, then a bias pass, then an
+    /// activation pass, each activation written out as its formula.
+    fn reference_layer(a: &Matrix, b: &Matrix, bias: &[f32], act: Activation) -> Matrix {
+        let mut out = reference_matmul(a, b);
+        if !bias.is_empty() {
+            for r in 0..out.rows() {
+                for (v, &bv) in out.row_mut(r).iter_mut().zip(bias) {
+                    *v += bv;
+                }
+            }
+        }
+        match act {
+            Activation::Relu => out.map_inplace(|v| v.max(0.0)),
+            Activation::Tanh => out.map_inplace(f32::tanh),
+            Activation::Sigmoid => out.map_inplace(|v| 1.0 / (1.0 + (-v).exp())),
+            Activation::Identity => {}
+        }
+        out
+    }
+
     #[test]
     fn blocked_kernels_match_reference_bit_for_bit() {
         let levels: Vec<Level> = Level::ALL.into_iter().filter(|l| l.available()).collect();
@@ -697,20 +820,41 @@ mod tests {
             }
         }
         shapes.extend([(3, 7, 5), (7, 33, 17), (13, 9, 31), (11, 5, 15), (6, 129, 2), (9, 0, 4)]);
+        let acts = [Activation::Relu, Activation::Tanh, Activation::Sigmoid, Activation::Identity];
         for (case, &(m, k, n)) in shapes.iter().enumerate() {
             for specials in [false, true] {
                 let seed = 2 * case as u64 + u64::from(specials);
                 let a = lcg_matrix(m, k, seed, specials);
                 let b = lcg_matrix(k, n, seed + 1000, specials);
+                let bias = lcg_matrix(1, n, seed + 2000, specials).data().to_vec();
                 let want = reference_matmul(&a, &b);
                 let (at, bt) = (a.transpose(), b.transpose());
                 for &level in &levels {
                     let what = format!("{level:?} {m}x{k}x{n} specials={specials}");
-                    let mut got = Matrix::zeros(0, 0);
-                    a.matmul_at(level, &b, &mut got);
+                    let got = a.matmul_at(level, &b, &[], Activation::Identity);
                     assert_same_bits(&got, &want, &format!("matmul {what}"));
                     assert_same_bits(&at.t_matmul_at(level, &b), &want, &format!("t_matmul {what}"));
                     assert_same_bits(&a.matmul_t_at(level, &bt), &want, &format!("matmul_t {what}"));
+                    // The fused store: every activation, with and without a
+                    // bias.
+                    // (A sum starts at +0.0, so no pre-activation is −0.0;
+                    // −0.0 reaches the store through the inputs and bias.)
+                    for act in acts {
+                        for bias in [&bias[..], &[]] {
+                            let want = reference_layer(&a, &b, bias, act);
+                            let what = format!("{what} {act:?} bias={}", !bias.is_empty());
+                            let got = a.matmul_at(level, &b, bias, act);
+                            assert_same_bits(&got, &want, &format!("fused {what}"));
+                        }
+                    }
+                }
+                // The pool-free entry point the MSCN forward runs.
+                for act in acts {
+                    let mut got = vec![f32::NAN; m * n];
+                    gemm_rows(a.data(), &b, &bias, act, &mut got);
+                    let got = Matrix::from_vec(m, n, got);
+                    let want = reference_layer(&a, &b, &bias, act);
+                    assert_same_bits(&got, &want, &format!("gemm_rows {m}x{k}x{n} {act:?}"));
                 }
             }
         }
@@ -723,21 +867,9 @@ mod tests {
         let a = Matrix::from_vec(3, 4, vec![-0.0; 12]);
         let b = Matrix::from_vec(4, 20, vec![1.0; 80]);
         for level in Level::ALL.into_iter().filter(|l| l.available()) {
-            let mut got = Matrix::zeros(0, 0);
-            a.matmul_at(level, &b, &mut got);
+            let got = a.matmul_at(level, &b, &[], Activation::Identity);
             assert!(got.data().iter().all(|v| v.to_bits() == 0), "{level:?}");
         }
-    }
-
-    #[test]
-    fn matmul_into_reuses_a_larger_buffer() {
-        let a = lcg_matrix(4, 6, 1, false);
-        let b = lcg_matrix(6, 5, 2, false);
-        let mut out = Matrix::zeros(16, 16);
-        let capacity = out.data.capacity();
-        a.matmul_into(&b, &mut out);
-        assert_eq!(out, a.matmul(&b));
-        assert_eq!(out.data.capacity(), capacity);
     }
 
     #[test]

@@ -86,29 +86,40 @@ impl Mlp {
         (x, MlpCache { caches })
     }
 
-    /// Inference-only forward pass.
+    /// Inference-only forward pass. Each product splits its output rows
+    /// over the `ce-parallel` pool when it is large enough.
     pub fn infer(&self, input: &Matrix) -> Matrix {
-        let (mut out, mut scratch) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        self.infer_into(input, &mut out, &mut scratch);
-        out
+        let (first, rest) = self.layers.split_first().expect("mlp has at least one layer");
+        rest.iter().fold(first.infer(input), |x, layer| layer.infer(&x))
     }
 
-    /// [`Mlp::infer`] written into caller-owned buffers: the output lands in
-    /// `out`, the hidden activations pass through `out` and `scratch`, and
-    /// both keep their allocations when they are large enough. Passing the
-    /// same pair to successive calls makes steady-state inference
-    /// allocation-free.
-    pub fn infer_into(&self, input: &Matrix, out: &mut Matrix, scratch: &mut Matrix) {
+    /// Inference over the row-major `input` rows, run serially on the
+    /// calling thread for callers that split their own work into tasks. The
+    /// hidden activations pass through `out` and `scratch`, which grow when
+    /// they are too short and never shrink, so a caller that keeps the pair
+    /// across calls stops allocating once they fit its largest input.
+    /// Returns the output rows, a prefix of `out`. Bit-identical, row for
+    /// row, to [`Mlp::infer`].
+    ///
+    /// # Panics
+    /// Panics if `input` is not a whole number of rows.
+    pub fn infer_rows<'o>(
+        &self,
+        input: &[f32],
+        out: &'o mut Vec<f32>,
+        scratch: &mut Vec<f32>,
+    ) -> &'o [f32] {
+        assert_eq!(input.len() % self.input_dim(), 0, "input is not a whole number of rows");
         let (last, hidden) = self.layers.split_last().expect("mlp has at least one layer");
         match hidden.split_first() {
-            None => last.infer_into(input, out),
+            None => last.infer_rows(input, out),
             Some((first, rest)) => {
-                first.infer_into(input, scratch);
+                let mut len = first.infer_rows(input, scratch).len();
                 for layer in rest {
-                    layer.infer_into(scratch, out);
+                    len = layer.infer_rows(&scratch[..len], out).len();
                     std::mem::swap(scratch, out);
                 }
-                last.infer_into(scratch, out);
+                last.infer_rows(&scratch[..len], out)
             }
         }
     }

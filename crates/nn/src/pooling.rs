@@ -7,39 +7,44 @@
 
 use crate::matrix::Matrix;
 
-/// Mean-pools contiguous row segments of `items` into the leading
-/// `items.cols()` columns of `out`, one row per segment. The remaining
-/// columns are left as they are, so that a caller can pool straight into a
-/// wider row that carries more features after the pooled ones.
+/// Mean-pools contiguous row segments of the row-major `items` (`dim`
+/// columns) into the leading `dim` columns of `out`, one row per segment.
+/// `out` holds `segments.len()` rows of equal width, at least `dim`; the
+/// columns after the pooled ones are left as they are, so that a caller can
+/// pool straight into a wider row that carries more features after them.
 ///
-/// `segments[i]` is the number of rows belonging to segment `i`; they must sum
-/// to `items.rows()`. Zero-length segments produce an all-zero pooled row
-/// (a query with no predicates of a given kind).
+/// `segments[i]` is the number of rows belonging to segment `i`; they must
+/// sum to the number of item rows. Zero-length segments produce an all-zero
+/// pooled row (a query with no predicates of a given kind).
 ///
 /// # Panics
-/// Panics if the lengths do not sum to the number of item rows, if `out`
-/// has a row count different from `segments.len()`, or if `out` is
-/// narrower than `items`.
-pub fn segment_mean_into(items: &Matrix, segments: &[usize], out: &mut Matrix) {
+/// Panics if the lengths do not sum to the number of item rows, or if `out`
+/// is not `segments.len()` rows of at least `dim` columns.
+pub fn segment_mean_into(items: &[f32], dim: usize, segments: &[usize], out: &mut [f32]) {
     let total: usize = segments.iter().sum();
-    assert_eq!(total, items.rows(), "segment lengths must cover all item rows");
-    assert_eq!(out.rows(), segments.len(), "one output row per segment");
-    let dim = items.cols();
-    assert!(out.cols() >= dim, "output narrower than the pooled items");
-    let mut offset = 0;
-    for (s, &len) in segments.iter().enumerate() {
-        let dst = &mut out.row_mut(s)[..dim];
+    assert_eq!(total * dim, items.len(), "segment lengths must cover all item rows");
+    if segments.is_empty() {
+        assert!(out.is_empty(), "output rows without segments");
+        return;
+    }
+    let width = out.len() / segments.len();
+    assert!(
+        width >= dim && width * segments.len() == out.len(),
+        "output is not one row per segment at least as wide as the items"
+    );
+    let mut rows = items.chunks_exact(dim.max(1));
+    for (&len, dst) in segments.iter().zip(out.chunks_exact_mut(width.max(1))) {
+        let dst = &mut dst[..dim];
         dst.fill(0.0);
         if len == 0 {
             continue;
         }
         let inv = 1.0 / len as f32;
-        for r in offset..offset + len {
-            for (d, &v) in dst.iter_mut().zip(items.row(r)) {
+        for row in rows.by_ref().take(len) {
+            for (d, &v) in dst.iter_mut().zip(row) {
                 *d += v * inv;
             }
         }
-        offset += len;
     }
 }
 
@@ -79,7 +84,7 @@ mod tests {
 
     fn segment_mean(items: &Matrix, segments: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(segments.len(), items.cols());
-        segment_mean_into(items, segments, &mut out);
+        segment_mean_into(items.data(), items.cols(), segments, out.data_mut());
         out
     }
 

@@ -58,7 +58,7 @@ proptest! {
     #[test]
     fn segment_mean_of_single_segment_is_global_mean(m in matrix_strategy(6, 3)) {
         let mut pooled = Matrix::zeros(1, 3);
-        segment_mean_into(&m, &[6], &mut pooled);
+        segment_mean_into(m.data(), m.cols(), &[6], pooled.data_mut());
         let sums = m.column_sums();
         for (c, &s) in sums.iter().enumerate() {
             prop_assert!((pooled.get(0, c) - s / 6.0).abs() < 1e-4);

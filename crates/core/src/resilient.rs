@@ -26,6 +26,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use crate::error::{finite_or_err, CardEstError};
+use crate::heal::SelfHealingService;
 use crate::interval::PredictionInterval;
 use crate::online::OnlineConformal;
 use crate::regressor::Regressor;
@@ -64,6 +65,27 @@ pub trait PiEstimator: Sync + Send {
 
     /// Folds an executed query's truth into the estimator's calibration.
     fn observe(&mut self, features: &[f32], y_true: f64);
+}
+
+impl<T: PiEstimator + ?Sized> PiEstimator for Box<T> {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+    fn predict(&self, features: &[f32]) -> Result<f64, CardEstError> {
+        (**self).predict(features)
+    }
+    fn interval(&self, features: &[f32]) -> Result<PredictionInterval, CardEstError> {
+        (**self).interval(features)
+    }
+    fn interval_batch(
+        &self,
+        queries: &[Vec<f32>],
+    ) -> Vec<Result<PredictionInterval, CardEstError>> {
+        (**self).interval_batch(queries)
+    }
+    fn observe(&mut self, features: &[f32], y_true: f64) {
+        (**self).observe(features, y_true);
+    }
 }
 
 impl<M: Regressor + Sync + Send, S: ScoreFunction + Sync + Send> PiEstimator for OnlineConformal<M, S> {
@@ -105,6 +127,29 @@ impl<M: Regressor + Sync + Send, S: ScoreFunction + Sync + Send> PiEstimator for
     }
     fn observe(&mut self, features: &[f32], y_true: f64) {
         PiService::observe(self, features, y_true);
+    }
+}
+
+impl<M: Regressor + Sync + Send, S: ScoreFunction + Sync + Send> PiEstimator
+    for SelfHealingService<M, S>
+{
+    fn name(&self) -> &str {
+        "self-healing"
+    }
+    fn predict(&self, features: &[f32]) -> Result<f64, CardEstError> {
+        finite_or_err(SelfHealingService::predict(self, features), "model prediction")
+    }
+    fn interval(&self, features: &[f32]) -> Result<PredictionInterval, CardEstError> {
+        self.try_interval(features)
+    }
+    fn interval_batch(
+        &self,
+        queries: &[Vec<f32>],
+    ) -> Vec<Result<PredictionInterval, CardEstError>> {
+        self.try_interval_batch(queries)
+    }
+    fn observe(&mut self, features: &[f32], y_true: f64) {
+        SelfHealingService::observe(self, features, y_true);
     }
 }
 
@@ -384,11 +429,6 @@ impl ResilienceStats {
     }
 }
 
-struct ChainEntry {
-    estimator: Box<dyn PiEstimator>,
-    breaker: Breaker,
-}
-
 /// A fault-tolerant serving wrapper around a fallback chain of estimators.
 ///
 /// Construction is builder-style: start from the primary estimator, push
@@ -396,8 +436,16 @@ struct ChainEntry {
 /// [`interval`](ResilientService::interval) /
 /// [`predict`](ResilientService::predict) and feed truths back through
 /// [`observe`](ResilientService::observe).
-pub struct ResilientService {
-    chain: Vec<ChainEntry>,
+///
+/// The primary is held by value as `P` (a boxed estimator by default), so
+/// an owner that needs the primary's own state reads it through
+/// [`primary`](ResilientService::primary) under whatever guards the
+/// service; fallbacks are always boxed.
+pub struct ResilientService<P = Box<dyn PiEstimator>> {
+    primary: P,
+    fallbacks: Vec<Box<dyn PiEstimator>>,
+    /// One breaker per chain position, primary first.
+    breakers: Vec<Breaker>,
     breaker_config: BreakerConfig,
     guard: CallGuardConfig,
     expected_dims: Option<usize>,
@@ -406,10 +454,10 @@ pub struct ResilientService {
     last_errors: Vec<(String, CardEstError)>,
 }
 
-impl std::fmt::Debug for ResilientService {
+impl<P: PiEstimator> std::fmt::Debug for ResilientService<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResilientService")
-            .field("chain", &self.chain.iter().map(|e| e.estimator.name()).collect::<Vec<_>>())
+            .field("chain", &self.chain_names())
             .field("breaker_config", &self.breaker_config)
             .field("expected_dims", &self.expected_dims)
             .field("conservative_floor", &self.conservative_floor)
@@ -418,12 +466,23 @@ impl std::fmt::Debug for ResilientService {
     }
 }
 
+/// See [`ResilientService::LAST_ERRORS_CAP`].
+const LAST_ERRORS_CAP: usize = 64;
+
 impl ResilientService {
+    /// Capacity bound of the [`ResilientService::last_errors`] buffer: a
+    /// long-running chaos workload accumulates at most this many entries.
+    pub const LAST_ERRORS_CAP: usize = LAST_ERRORS_CAP;
+}
+
+impl<P: PiEstimator> ResilientService<P> {
     /// Creates a service around the primary estimator, with the conservative
     /// floor enabled (never-unavailable by default).
-    pub fn new(primary: Box<dyn PiEstimator>) -> Self {
+    pub fn new(primary: P) -> Self {
         ResilientService {
-            chain: vec![ChainEntry { estimator: primary, breaker: Breaker::new() }],
+            primary,
+            fallbacks: Vec::new(),
+            breakers: vec![Breaker::new()],
             breaker_config: BreakerConfig::default(),
             guard: CallGuardConfig::default(),
             expected_dims: None,
@@ -435,7 +494,8 @@ impl ResilientService {
 
     /// Appends a fallback estimator (tried in push order after the primary).
     pub fn with_fallback(mut self, estimator: Box<dyn PiEstimator>) -> Self {
-        self.chain.push(ChainEntry { estimator, breaker: Breaker::new() });
+        self.fallbacks.push(estimator);
+        self.breakers.push(Breaker::new());
         self.stats.served_by.push(0);
         self
     }
@@ -468,6 +528,31 @@ impl ResilientService {
         self
     }
 
+    /// The primary estimator (chain position 0).
+    pub fn primary(&self) -> &P {
+        &self.primary
+    }
+
+    /// The estimator at chain `position`: the primary, then the fallbacks.
+    fn estimator(&self, position: usize) -> &dyn PiEstimator {
+        match position {
+            0 => &self.primary,
+            p => &*self.fallbacks[p - 1],
+        }
+    }
+
+    fn estimator_mut(&mut self, position: usize) -> &mut dyn PiEstimator {
+        match position {
+            0 => &mut self.primary,
+            p => &mut *self.fallbacks[p - 1],
+        }
+    }
+
+    /// The chain's estimators, primary first.
+    fn estimators(&self) -> impl Iterator<Item = &dyn PiEstimator> {
+        (0..self.breakers.len()).map(|p| self.estimator(p))
+    }
+
     /// Serving statistics so far.
     pub fn stats(&self) -> &ResilienceStats {
         &self.stats
@@ -475,17 +560,13 @@ impl ResilientService {
 
     /// Breaker state of the estimator at `position` in the chain.
     pub fn breaker_state(&self, position: usize) -> Option<BreakerState> {
-        self.chain.get(position).map(|e| e.breaker.state)
+        self.breakers.get(position).map(|b| b.state)
     }
 
     /// Names of the chain's estimators, primary first.
     pub fn chain_names(&self) -> Vec<&str> {
-        self.chain.iter().map(|e| e.estimator.name()).collect()
+        self.estimators().map(|e| e.name()).collect()
     }
-
-    /// Capacity bound of the [`ResilientService::last_errors`] buffer: a
-    /// long-running chaos workload accumulates at most this many entries.
-    pub const LAST_ERRORS_CAP: usize = 64;
 
     /// The per-estimator errors from recent queries that exhausted the whole
     /// chain, oldest first (empty if no query has). Bounded to
@@ -499,8 +580,8 @@ impl ResilientService {
     /// entries past [`ResilientService::LAST_ERRORS_CAP`].
     fn push_last_errors(&mut self, errors: Vec<(String, CardEstError)>) {
         self.last_errors.extend(errors);
-        if self.last_errors.len() > Self::LAST_ERRORS_CAP {
-            let excess = self.last_errors.len() - Self::LAST_ERRORS_CAP;
+        if self.last_errors.len() > LAST_ERRORS_CAP {
+            let excess = self.last_errors.len() - LAST_ERRORS_CAP;
             self.last_errors.drain(..excess);
         }
     }
@@ -527,9 +608,9 @@ impl ResilientService {
         g("resilient.answer_rate", self.stats.answer_rate());
         g("resilient.fallback_rate", self.stats.fallback_rate());
         g("resilient.last_errors_buffered", self.last_errors.len() as f64);
-        for (position, entry) in self.chain.iter().enumerate() {
+        for (position, breaker) in self.breakers.iter().enumerate() {
             g(&format!("resilient.served_by.{position}"), self.stats.served_by[position] as f64);
-            let state = match entry.breaker.state {
+            let state = match breaker.state {
                 BreakerState::Closed => 0.0,
                 BreakerState::HalfOpen => 1.0,
                 BreakerState::Open => 2.0,
@@ -540,13 +621,13 @@ impl ResilientService {
 
     /// Point-in-time circuit-breaker states, chain order, for checkpointing.
     pub fn export_breakers(&self) -> Vec<BreakerSnapshot> {
-        self.chain
-            .iter()
-            .map(|e| BreakerSnapshot {
-                name: e.estimator.name().to_string(),
-                state: e.breaker.state,
-                consecutive_failures: e.breaker.consecutive_failures,
-                opened_at: e.breaker.opened_at,
+        self.estimators()
+            .zip(&self.breakers)
+            .map(|(e, b)| BreakerSnapshot {
+                name: e.name().to_string(),
+                state: b.state,
+                consecutive_failures: b.consecutive_failures,
+                opened_at: b.opened_at,
             })
             .collect()
     }
@@ -556,18 +637,18 @@ impl ResilientService {
     /// names in order) — a mismatch means the checkpoint belongs to a
     /// different deployment and is rejected as corrupt.
     pub fn restore_breakers(&mut self, snapshots: &[BreakerSnapshot]) -> Result<(), CardEstError> {
-        if snapshots.len() != self.chain.len() {
+        if snapshots.len() != self.breakers.len() {
             return Err(CardEstError::CheckpointCorrupt("breaker count mismatch"));
         }
-        for (entry, snap) in self.chain.iter().zip(snapshots) {
-            if entry.estimator.name() != snap.name {
+        for (estimator, snap) in self.estimators().zip(snapshots) {
+            if estimator.name() != snap.name {
                 return Err(CardEstError::CheckpointCorrupt("breaker chain name mismatch"));
             }
         }
-        for (entry, snap) in self.chain.iter_mut().zip(snapshots) {
-            entry.breaker.state = snap.state;
-            entry.breaker.consecutive_failures = snap.consecutive_failures;
-            entry.breaker.opened_at = snap.opened_at;
+        for (breaker, snap) in self.breakers.iter_mut().zip(snapshots) {
+            breaker.state = snap.state;
+            breaker.consecutive_failures = snap.consecutive_failures;
+            breaker.opened_at = snap.opened_at;
         }
         Ok(())
     }
@@ -624,16 +705,13 @@ impl ResilientService {
         let now = self.stats.queries;
         let guard = self.guard;
         let mut errors: Vec<(String, CardEstError)> = Vec::new();
-        for position in 0..self.chain.len() {
-            let entry = &mut self.chain[position];
-            if !entry.breaker.admit(now, &self.breaker_config) {
-                errors.push((
-                    entry.estimator.name().to_string(),
-                    CardEstError::CircuitOpen { estimator: entry.estimator.name().to_string() },
-                ));
+        for position in 0..self.breakers.len() {
+            if !self.breakers[position].admit(now, &self.breaker_config) {
+                let name = self.estimator(position).name().to_string();
+                errors.push((name.clone(), CardEstError::CircuitOpen { estimator: name }));
                 continue;
             }
-            let estimator = &*entry.estimator;
+            let estimator = self.estimator(position);
             let (outcome, report) = {
                 let _stage = ce_telemetry::Span::enter(if position == 0 {
                     "predict"
@@ -642,32 +720,19 @@ impl ResilientService {
                 });
                 run_guarded(&guard, position, estimator.name(), || call(estimator, features))
             };
-            self.stats.panics_caught += report.panics as u64;
-            self.stats.estimator_failures += report.typed_failures as u64;
-            self.stats.retries += report.attempts.saturating_sub(1) as u64;
-            self.stats.deadline_overruns += u64::from(report.deadline_overrun);
-            let failure = match outcome {
+            self.fold_report(&report);
+            match outcome {
                 Ok(interval) => {
-                    if entry.breaker.record_success() {
-                        ce_telemetry::counter("resilient.breaker_close").inc();
-                        ce_telemetry::trace::event("breaker_close", entry.estimator.name());
-                    }
-                    self.stats.answered += 1;
-                    self.stats.served_by[position] += 1;
+                    self.record_success(position);
                     if ce_telemetry::enabled() {
                         ce_telemetry::histogram("resilient.fallback_depth")
                             .record(position as u64);
                     }
                     return Ok(interval);
                 }
-                Err(e) => e,
-            };
-            errors.push((entry.estimator.name().to_string(), failure));
-            if entry.breaker.record_failure(now, &self.breaker_config) {
-                self.stats.breaker_trips += 1;
-                ce_telemetry::counter("resilient.breaker_open").inc();
-                ce_telemetry::trace::anomaly("breaker_open", entry.estimator.name());
+                Err(e) => errors.push((self.estimator(position).name().to_string(), e)),
             }
+            self.record_failure(position, now);
         }
         let tried = errors.len();
         self.push_last_errors(errors);
@@ -676,7 +741,7 @@ impl ResilientService {
             self.stats.floor_served += 1;
             if ce_telemetry::enabled() {
                 ce_telemetry::histogram("resilient.fallback_depth")
-                    .record(self.chain.len() as u64);
+                    .record(self.breakers.len() as u64);
             }
             return Ok(PredictionInterval::new(f64::NEG_INFINITY, f64::INFINITY));
         }
@@ -709,7 +774,7 @@ impl ResilientService {
         let config = self.breaker_config;
         let now = self.stats.queries + 1;
         let admitted: Vec<bool> =
-            self.chain.iter_mut().map(|e| e.breaker.admit(now, &config)).collect();
+            self.breakers.iter_mut().map(|b| b.admit(now, &config)).collect();
 
         // Phase 2a (read-only): batched primary fast path. One guarded
         // `interval_batch` call on the first admitted estimator answers the
@@ -731,7 +796,7 @@ impl ResilientService {
             let sane_idx: Vec<usize> =
                 (0..queries.len()).filter(|&i| sanitized[i].is_none()).collect();
             if !sane_idx.is_empty() {
-                let estimator = &*this.chain[p].estimator;
+                let estimator = this.estimator(p);
                 let results = run_guarded_batch(&this.guard, sane_idx.len(), || {
                     if sane_idx.len() == queries.len() {
                         estimator.interval_batch(queries)
@@ -775,7 +840,7 @@ impl ResilientService {
                 let position = primary.expect("fast path implies an admitted estimator");
                 let failures: Vec<(usize, GuardReport, CardEstError)> = (0..position)
                     .map(|skipped| {
-                        let estimator = this.chain[skipped].estimator.name().to_string();
+                        let estimator = this.estimator(skipped).name().to_string();
                         (
                             skipped,
                             GuardReport::default(),
@@ -791,9 +856,9 @@ impl ResilientService {
                 };
             }
             let mut failures: Vec<(usize, GuardReport, CardEstError)> = Vec::new();
-            for (position, entry) in this.chain.iter().enumerate() {
+            for (position, estimator) in this.estimators().enumerate() {
                 if !admitted_ref[position] {
-                    let estimator = entry.estimator.name().to_string();
+                    let estimator = estimator.name().to_string();
                     failures.push((
                         position,
                         GuardReport::default(),
@@ -801,7 +866,6 @@ impl ResilientService {
                     ));
                     continue;
                 }
-                let estimator = &*entry.estimator;
                 let (outcome, report) = run_guarded(&this.guard, position, estimator.name(), || {
                     estimator.interval(features)
                 });
@@ -838,12 +902,7 @@ impl ResilientService {
                 BatchOutcome::Served { position, interval, failures, report } => {
                     self.fold_failures(&failures, &admitted, now);
                     self.fold_report(&report);
-                    if self.chain[position].breaker.record_success() {
-                        ce_telemetry::counter("resilient.breaker_close").inc();
-                        ce_telemetry::trace::event("breaker_close", self.chain[position].estimator.name());
-                    }
-                    self.stats.answered += 1;
-                    self.stats.served_by[position] += 1;
+                    self.record_success(position);
                     if let Some(hist) = &depth_hist {
                         hist.record(position as u64);
                     }
@@ -854,14 +913,14 @@ impl ResilientService {
                     let tried = failures.len();
                     let errors: Vec<(String, CardEstError)> = failures
                         .into_iter()
-                        .map(|(pos, _, e)| (self.chain[pos].estimator.name().to_string(), e))
+                        .map(|(pos, _, e)| (self.estimator(pos).name().to_string(), e))
                         .collect();
                     self.push_last_errors(errors);
                     if self.conservative_floor {
                         self.stats.answered += 1;
                         self.stats.floor_served += 1;
                         if let Some(hist) = &depth_hist {
-                            hist.record(self.chain.len() as u64);
+                            hist.record(self.breakers.len() as u64);
                         }
                         results.push(Ok(PredictionInterval::new(
                             f64::NEG_INFINITY,
@@ -884,17 +943,31 @@ impl ResilientService {
         admitted: &[bool],
         now: u64,
     ) {
-        let config = self.breaker_config;
         for &(position, report, _) in failures {
-            if !admitted[position] {
-                continue;
+            if admitted[position] {
+                self.fold_report(&report);
+                self.record_failure(position, now);
             }
-            self.fold_report(&report);
-            if self.chain[position].breaker.record_failure(now, &config) {
-                self.stats.breaker_trips += 1;
-                ce_telemetry::counter("resilient.breaker_open").inc();
-                ce_telemetry::trace::anomaly("breaker_open", self.chain[position].estimator.name());
-            }
+        }
+    }
+
+    /// Records an answer from the estimator at `position`: its breaker
+    /// closes, and the answer is counted.
+    fn record_success(&mut self, position: usize) {
+        if self.breakers[position].record_success() {
+            ce_telemetry::counter("resilient.breaker_close").inc();
+            ce_telemetry::trace::event("breaker_close", self.estimator(position).name());
+        }
+        self.stats.answered += 1;
+        self.stats.served_by[position] += 1;
+    }
+
+    /// Records a failed call at `position` toward its breaker's trip.
+    fn record_failure(&mut self, position: usize, now: u64) {
+        if self.breakers[position].record_failure(now, &self.breaker_config) {
+            self.stats.breaker_trips += 1;
+            ce_telemetry::counter("resilient.breaker_open").inc();
+            ce_telemetry::trace::anomaly("breaker_open", self.estimator(position).name());
         }
     }
 
@@ -915,8 +988,8 @@ impl ResilientService {
             self.stats.rejected_inputs += 1;
             return;
         }
-        for entry in &mut self.chain {
-            let estimator = entry.estimator.as_mut();
+        for position in 0..self.breakers.len() {
+            let estimator = self.estimator_mut(position);
             if catch_unwind(AssertUnwindSafe(|| estimator.observe(features, y_true))).is_err() {
                 self.stats.panics_caught += 1;
             }

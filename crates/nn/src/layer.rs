@@ -11,10 +11,6 @@ use crate::matrix::{gemm_rows, Matrix};
 pub enum Activation {
     /// max(0, x)
     Relu,
-    /// tanh(x)
-    Tanh,
-    /// 1 / (1 + e^-x)
-    Sigmoid,
     /// x (linear output layer)
     Identity,
 }
@@ -26,8 +22,6 @@ impl Activation {
     pub(crate) fn apply(self, v: f32) -> f32 {
         match self {
             Activation::Relu => v.max(0.0),
-            Activation::Tanh => v.tanh(),
-            Activation::Sigmoid => 1.0 / (1.0 + (-v).exp()),
             Activation::Identity => v,
         }
     }
@@ -43,8 +37,6 @@ impl Activation {
                     0.0
                 }
             }
-            Activation::Tanh => 1.0 - a * a,
-            Activation::Sigmoid => a * (1.0 - a),
             Activation::Identity => 1.0,
         }
     }
@@ -53,7 +45,7 @@ impl Activation {
     pub fn default_init(self) -> Init {
         match self {
             Activation::Relu => Init::HeUniform,
-            _ => Init::XavierUniform,
+            Activation::Identity => Init::XavierUniform,
         }
     }
 }
@@ -203,14 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_is_bounded() {
-        let sigmoid = |v| Activation::Sigmoid.apply(v);
-        assert!(sigmoid(-100.0) < 1e-6);
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-6);
-        assert!(sigmoid(100.0) > 1.0 - 1e-6);
-    }
-
-    #[test]
     fn dense_forward_shapes() {
         let mut rng = StdRng::seed_from_u64(3);
         let layer = Dense::new(4, 2, Activation::Relu, AdamConfig::default(), &mut rng);
@@ -220,12 +204,20 @@ mod tests {
         assert_eq!(cache.input.rows(), 5);
     }
 
-    /// Finite-difference gradient check for a dense layer with tanh.
+    /// Finite-difference gradient check for a dense layer with relu. The
+    /// weights and bias are set so that every pre-activation sits at least
+    /// 0.05 from relu's kink, fifty times the probe step, with both active
+    /// and inactive units.
     #[test]
-    fn gradient_check_dense_tanh() {
+    fn gradient_check_dense_relu() {
         let mut rng = StdRng::seed_from_u64(11);
-        let mut layer = Dense::new(3, 2, Activation::Tanh, AdamConfig::default(), &mut rng);
+        let mut layer = Dense::new(3, 2, Activation::Relu, AdamConfig::default(), &mut rng);
+        *layer.weights_mut() = Matrix::from_vec(3, 2, vec![0.5, -0.4, 0.3, 0.6, -0.2, 0.7]);
+        layer.bias = vec![0.2, -0.1];
         let x = Matrix::from_vec(2, 3, vec![0.1, -0.2, 0.3, 0.5, 0.0, -0.4]);
+        let z = x.matmul_bias_act(layer.weights(), layer.bias(), Activation::Identity);
+        assert!(z.data().iter().all(|v| v.abs() >= 0.05), "pre-activations {:?}", z.data());
+        assert!(z.data().iter().any(|&v| v > 0.0) && z.data().iter().any(|&v| v < 0.0));
         // Loss = sum of outputs, so dL/dy = 1 everywhere.
         let loss_of = |layer: &Dense, x: &Matrix| -> f32 { layer.infer(x).data().iter().sum() };
 

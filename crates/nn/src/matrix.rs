@@ -275,8 +275,6 @@ fn block<const MR: usize>(
 fn finish(out: &mut [f32], n: usize, bias: &[f32], act: Activation) {
     match act {
         Activation::Relu => epilogue(out, n, bias, |v| Activation::Relu.apply(v)),
-        Activation::Tanh => epilogue(out, n, bias, |v| Activation::Tanh.apply(v)),
-        Activation::Sigmoid => epilogue(out, n, bias, |v| Activation::Sigmoid.apply(v)),
         Activation::Identity if !bias.is_empty() => epilogue(out, n, bias, |v| v),
         Activation::Identity => {}
     }
@@ -795,8 +793,6 @@ mod tests {
         }
         match act {
             Activation::Relu => out.map_inplace(|v| v.max(0.0)),
-            Activation::Tanh => out.map_inplace(f32::tanh),
-            Activation::Sigmoid => out.map_inplace(|v| 1.0 / (1.0 + (-v).exp())),
             Activation::Identity => {}
         }
         out
@@ -820,7 +816,7 @@ mod tests {
             }
         }
         shapes.extend([(3, 7, 5), (7, 33, 17), (13, 9, 31), (11, 5, 15), (6, 129, 2), (9, 0, 4)]);
-        let acts = [Activation::Relu, Activation::Tanh, Activation::Sigmoid, Activation::Identity];
+        let acts = [Activation::Relu, Activation::Identity];
         for (case, &(m, k, n)) in shapes.iter().enumerate() {
             for specials in [false, true] {
                 let seed = 2 * case as u64 + u64::from(specials);

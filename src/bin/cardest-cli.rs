@@ -371,8 +371,8 @@ fn run_stats(opts: StatsOptions) {
 /// Human-readable dump of the self-healing layer's remediation history.
 fn print_remediation_text<M, S>(svc: &SelfHealingService<M, S>)
 where
-    M: Regressor + Clone,
-    S: ScoreFunction + Clone,
+    M: Regressor,
+    S: ScoreFunction,
 {
     let state = match svc.state() {
         HealState::Healthy => "healthy",
@@ -815,7 +815,7 @@ fn run_serve(opts: ServeOptions) {
 /// snapshots); failures are reported but never kill the server.
 fn write_engine_checkpoint<M>(engine: &ServeEngine<M, AbsoluteResidual>, path: &Path, kind: &str)
 where
-    M: Regressor + Clone + Send + Sync + 'static,
+    M: Regressor + Send + Sync + 'static,
 {
     let ckpt = engine.checkpoint();
     match write_checkpoint(path, &ckpt) {

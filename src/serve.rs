@@ -5,8 +5,8 @@
 //! acceptor ─▶ dispatch queue ─▶ worker pool ─▶ router ─▶ micro-batcher
 //! (max_conns)      ▲                 │ idle              │ coalesced
 //!                  └── poller ◀──────┘                   ▼
-//!                          ResilientService (breakers, fallbacks, floor)
-//!                                 └─ primary: SelfHealingService (RwLock)
+//!                  ResilientService (breakers, fallbacks, floor; one mutex)
+//!                                 └─ primary: SelfHealingService
 //! ```
 //!
 //! Endpoints:
@@ -57,7 +57,7 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::Duration;
 
 use crate::conformal::{
@@ -71,71 +71,43 @@ use ce_telemetry::trace;
 /// Interval results for one batch, in query order.
 pub type BatchResults = Vec<Result<PredictionInterval, CardEstError>>;
 
-/// A [`SelfHealingService`] shared between the HTTP workers (read: serve
-/// intervals) and the feedback path (write: observe truths), adapted to the
-/// resilient chain's object-safe [`PiEstimator`] interface.
-pub struct SharedHealing<M, S>(Arc<RwLock<SelfHealingService<M, S>>>);
+/// The engine's chain: the self-healing service as the typed primary of
+/// the resilient wrapper.
+type Chain<M, S> = ResilientService<SelfHealingService<M, S>>;
 
-impl<M, S> Clone for SharedHealing<M, S> {
-    fn clone(&self) -> Self {
-        SharedHealing(Arc::clone(&self.0))
-    }
+/// The self-healing layer's state as of the last change to it, copied out
+/// of the chain so readers outside it (readiness, metrics, the CLI) never
+/// wait on a running batch.
+#[derive(Debug, Clone, Copy)]
+struct HealSnapshot {
+    mode: ServiceMode,
+    state: HealState,
+    observations: u64,
 }
 
-impl<M, S> SharedHealing<M, S> {
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, SelfHealingService<M, S>> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, SelfHealingService<M, S>> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<M, S> PiEstimator for SharedHealing<M, S>
-where
-    M: Regressor + Clone + Send + Sync,
-    S: ScoreFunction + Clone + Send + Sync,
-{
-    fn name(&self) -> &str {
-        "self-healing"
-    }
-
-    fn predict(&self, features: &[f32]) -> Result<f64, CardEstError> {
-        let value = self.read().predict(features);
-        if value.is_finite() {
-            Ok(value)
-        } else {
-            Err(CardEstError::NonFiniteScore { value, context: "model prediction" })
+impl HealSnapshot {
+    fn of<M: Regressor, S: ScoreFunction>(healing: &SelfHealingService<M, S>) -> HealSnapshot {
+        HealSnapshot {
+            mode: healing.service().mode(),
+            state: healing.state(),
+            observations: healing.observations(),
         }
-    }
-
-    fn interval(&self, features: &[f32]) -> Result<PredictionInterval, CardEstError> {
-        self.read().try_interval(features)
-    }
-
-    fn interval_batch(
-        &self,
-        queries: &[Vec<f32>],
-    ) -> Vec<Result<PredictionInterval, CardEstError>> {
-        // One read lock and one batched model forward for the whole batch.
-        self.read().try_interval_batch(queries)
-    }
-
-    fn observe(&mut self, features: &[f32], y_true: f64) {
-        self.write().observe(features, y_true);
     }
 }
 
 /// The serving engine: the self-healing primary behind the resilient chain,
 /// with full-chain checkpointing.
 ///
-/// Lock order is `resilient` → `healing` everywhere (the chain's serving
-/// calls take the healing read lock while holding the resilient mutex, so
-/// every other path must do the same to stay deadlock-free).
+/// Every call into the chain holds one mutex. The heal snapshot sits behind
+/// a leaf lock that is only ever held to copy the snapshot in or out.
 pub struct ServeEngine<M, S> {
-    healing: SharedHealing<M, S>,
-    resilient: Mutex<ResilientService>,
+    resilient: Mutex<Chain<M, S>>,
+    /// Republished with every generation (see `renew_generation`).
+    heal: Mutex<HealSnapshot>,
+    /// Fixed at construction: neither the heal config nor the wrapped
+    /// service's α ever changes afterwards.
+    heal_config: HealConfig,
+    alpha: f64,
     truth_dedupe: Mutex<TruthDedupe>,
     /// Serving generation (DESIGN.md §15): a process-unique number for the
     /// engine's current serving state. It is replaced, always while the
@@ -165,7 +137,7 @@ static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
 /// Whether every chain breaker is `Closed`. Only then does a batch admit
 /// every estimator whatever the query counter says, so its results depend
 /// on calibration state alone.
-fn breakers_closed(resilient: &ResilientService) -> bool {
+fn breakers_closed<P: PiEstimator>(resilient: &ResilientService<P>) -> bool {
     (0..).map_while(|p| resilient.breaker_state(p)).all(|s| s == BreakerState::Closed)
 }
 
@@ -208,8 +180,8 @@ impl TruthDedupe {
 
 impl<M, S> ServeEngine<M, S>
 where
-    M: Regressor + Clone + Send + Sync + 'static,
-    S: ScoreFunction + Clone + Send + Sync + 'static,
+    M: Regressor + Send + Sync + 'static,
+    S: ScoreFunction + Send + Sync + 'static,
 {
     /// Builds the engine: `healing` becomes the chain's primary, followed by
     /// the given fallbacks, with input sanitization against `expected_dims`
@@ -219,31 +191,42 @@ where
         fallbacks: Vec<Box<dyn PiEstimator>>,
         expected_dims: usize,
     ) -> Self {
-        let healing = SharedHealing(Arc::new(RwLock::new(healing)));
-        let mut resilient = ResilientService::new(Box::new(healing.clone()))
+        let heal = Mutex::new(HealSnapshot::of(&healing));
+        let heal_config = healing.heal_config();
+        let alpha = healing.service().config().alpha;
+        let mut resilient = ResilientService::new(healing)
             .with_expected_dims(expected_dims)
             .with_conservative_floor(true);
         for fallback in fallbacks {
             resilient = resilient.with_fallback(fallback);
         }
         ServeEngine {
-            healing,
             resilient: Mutex::new(resilient),
+            heal,
+            heal_config,
+            alpha,
             truth_dedupe: Mutex::new(TruthDedupe::new()),
             generation: AtomicU64::new(NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)),
         }
     }
 
-    fn resilient(&self) -> MutexGuard<'_, ResilientService> {
+    fn resilient(&self) -> MutexGuard<'_, Chain<M, S>> {
         self.resilient.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Takes a fresh serving generation. The chain guard is the proof that
-    /// the caller holds the mutex every batch stamps under; as it is held
-    /// across the whole state change, renewing before or after the change
-    /// is the same to every reader.
-    fn renew_generation(&self, _chain: &MutexGuard<'_, ResilientService>) {
+    fn heal(&self) -> HealSnapshot {
+        *self.heal.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Takes a fresh serving generation and republishes the heal snapshot.
+    /// The chain guard is the proof that the caller holds the mutex every
+    /// batch stamps under; as it is held across the whole state change,
+    /// renewing the generation before or after the change is the same to
+    /// every reader. The snapshot is copied from the primary here, so a
+    /// change to the healing state must come before the renewal.
+    fn renew_generation(&self, chain: &MutexGuard<'_, Chain<M, S>>) {
         self.generation.store(NEXT_GENERATION.fetch_add(1, Ordering::Relaxed), Ordering::SeqCst);
+        *self.heal.lock().unwrap_or_else(|e| e.into_inner()) = HealSnapshot::of(chain.primary());
     }
 
     /// Serves a batch through the full resilient chain (breakers, fallbacks,
@@ -266,7 +249,7 @@ where
         if generation.is_none() {
             self.renew_generation(&resilient);
         }
-        let mode = self.healing.read().service().mode();
+        let mode = resilient.primary().service().mode();
         (results, BatchStamp { generation, mode })
     }
 
@@ -306,25 +289,24 @@ where
 
     /// Serving mode of the wrapped [`crate::conformal::PiService`].
     pub fn mode(&self) -> ServiceMode {
-        self.healing.read().service().mode()
+        self.heal().mode
     }
 
     /// Remediation state of the self-healing layer.
     pub fn heal_state(&self) -> HealState {
-        self.healing.read().state()
+        self.heal().state
     }
 
     /// Total truths absorbed by the self-healing layer.
     pub fn observations(&self) -> u64 {
-        self.healing.read().observations()
+        self.heal().observations
     }
 
     /// Full-chain checkpoint: the self-healing service state plus every
     /// breaker's snapshot, so a restore resumes the *whole* serving chain.
     pub fn checkpoint(&self) -> Checkpoint {
         let resilient = self.resilient();
-        let ckpt = self.healing.read().checkpoint();
-        ckpt.with_breakers(resilient.export_breakers())
+        resilient.primary().checkpoint().with_breakers(resilient.export_breakers())
     }
 
     /// Restores breaker state from a checkpoint's snapshots (the healing
@@ -340,12 +322,12 @@ where
     /// The healing layer's remediation tuning (the reload validator reuses
     /// its `epsilon` slack and `max_width_blowup` guard).
     pub fn heal_config(&self) -> HealConfig {
-        self.healing.read().heal_config()
+        self.heal_config
     }
 
     /// The wrapped service's miscoverage target α.
     pub fn alpha(&self) -> f64 {
-        self.healing.read().service().config().alpha
+        self.alpha
     }
 
     /// Resilience counters (copied out; the chain lock is released before
@@ -354,27 +336,32 @@ where
         self.resilient().stats().clone()
     }
 
-    /// Mirrors chain + heal state into the telemetry registry.
+    /// Mirrors chain + heal state into the telemetry registry. A scrape
+    /// never waits on the chain: while a batch or an observation holds it,
+    /// the gauges keep their last reading.
     pub fn publish_metrics(&self) {
-        {
-            let resilient = self.resilient();
-            resilient.publish_telemetry();
+        if !ce_telemetry::enabled() {
+            return;
         }
-        if ce_telemetry::enabled() {
-            let healing = self.healing.read();
-            ce_telemetry::gauge("serve.heal_state").set(match healing.state() {
-                HealState::Healthy => 0.0,
-                HealState::Recalibrating => 1.0,
-                HealState::RolledBack => 2.0,
-            });
-            ce_telemetry::gauge("serve.mode_drifted").set(match healing.service().mode() {
-                ServiceMode::Stable => 0.0,
-                ServiceMode::Drifted => 1.0,
-            });
-            ce_telemetry::gauge("serve.observations").set(healing.observations() as f64);
-            ce_telemetry::gauge("serve.promotions").set(healing.promotion_count() as f64);
-            ce_telemetry::gauge("serve.rollbacks").set(healing.rollback_count() as f64);
-        }
+        let resilient = match self.resilient.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => return,
+        };
+        resilient.publish_telemetry();
+        let healing = resilient.primary();
+        ce_telemetry::gauge("serve.heal_state").set(match healing.state() {
+            HealState::Healthy => 0.0,
+            HealState::Recalibrating => 1.0,
+            HealState::RolledBack => 2.0,
+        });
+        ce_telemetry::gauge("serve.mode_drifted").set(match healing.service().mode() {
+            ServiceMode::Stable => 0.0,
+            ServiceMode::Drifted => 1.0,
+        });
+        ce_telemetry::gauge("serve.observations").set(healing.observations() as f64);
+        ce_telemetry::gauge("serve.promotions").set(healing.promotion_count() as f64);
+        ce_telemetry::gauge("serve.rollbacks").set(healing.rollback_count() as f64);
     }
 }
 
@@ -476,8 +463,8 @@ pub fn start_server<M, S>(
     config: HttpServeConfig,
 ) -> std::io::Result<ServeHandle>
 where
-    M: Regressor + Clone + Send + Sync + 'static,
-    S: ScoreFunction + Clone + Send + Sync + 'static,
+    M: Regressor + Send + Sync + 'static,
+    S: ScoreFunction + Send + Sync + 'static,
 {
     let registry = Arc::new(crate::tenant::ModelRegistry::new(
         crate::tenant::RegistryTuning::from_http(&config),

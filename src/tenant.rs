@@ -38,9 +38,9 @@
 //!   model's entries wholesale to reclaim their memory.
 //!
 //! Lock order: the registry's model map read-lock, then a model's engine
-//! slot read-lock, then the engine's documented `resilient → healing`
-//! chain order. The cache and limiter use their own leaf mutexes and are
-//! never held across an engine call.
+//! slot read-lock, then the engine's chain mutex. The engine's heal
+//! snapshot, the cache and the limiter are leaf locks, never held across
+//! an engine call.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -304,8 +304,8 @@ pub struct ModelEntry<M, S> {
 
 impl<M, S> ModelEntry<M, S>
 where
-    M: Regressor + Clone + Send + Sync + 'static,
-    S: ScoreFunction + Clone + Send + Sync + 'static,
+    M: Regressor + Send + Sync + 'static,
+    S: ScoreFunction + Send + Sync + 'static,
 {
     fn new(name: &str, engine: Arc<ServeEngine<M, S>>, tuning: &RegistryTuning) -> ModelEntry<M, S> {
         let slot = Arc::new(RwLock::new(engine));
@@ -439,8 +439,8 @@ pub struct ModelRegistry<M, S> {
 
 impl<M, S> ModelRegistry<M, S>
 where
-    M: Regressor + Clone + Send + Sync + 'static,
-    S: ScoreFunction + Clone + Send + Sync + 'static,
+    M: Regressor + Send + Sync + 'static,
+    S: ScoreFunction + Send + Sync + 'static,
 {
     /// An empty registry with the given tuning (no limiter, no factory).
     pub fn new(tuning: RegistryTuning) -> ModelRegistry<M, S> {
@@ -642,8 +642,8 @@ pub trait RegistryCtl: Send + Sync {
 
 impl<M, S> RegistryCtl for ModelRegistry<M, S>
 where
-    M: Regressor + Clone + Send + Sync + 'static,
-    S: ScoreFunction + Clone + Send + Sync + 'static,
+    M: Regressor + Send + Sync + 'static,
+    S: ScoreFunction + Send + Sync + 'static,
 {
     fn shutdown_batchers(&self) {
         let batchers: Vec<_> =
@@ -681,8 +681,8 @@ pub fn start_registry_server<M, S>(
     config: HttpServeConfig,
 ) -> std::io::Result<ServeHandle>
 where
-    M: Regressor + Clone + Send + Sync + 'static,
-    S: ScoreFunction + Clone + Send + Sync + 'static,
+    M: Regressor + Send + Sync + 'static,
+    S: ScoreFunction + Send + Sync + 'static,
 {
     // Pre-size the flight recorder off the hot path: the first traced
     // request must not pay the ring allocation.
@@ -728,8 +728,8 @@ fn route_registry<M, S>(
     probe: &OnceLock<ServerStatsProbe>,
 ) -> Response
 where
-    M: Regressor + Clone + Send + Sync + 'static,
-    S: ScoreFunction + Clone + Send + Sync + 'static,
+    M: Regressor + Send + Sync + 'static,
+    S: ScoreFunction + Send + Sync + 'static,
 {
     let path = req.path();
     match (req.method, path) {
@@ -782,8 +782,8 @@ where
 /// so the queue-depth gauge and fair-share hint see reality.
 fn admit_predict<M, S>(req: &Request, registry: &ModelRegistry<M, S>, model: &str) -> Response
 where
-    M: Regressor + Clone + Send + Sync + 'static,
-    S: ScoreFunction + Clone + Send + Sync + 'static,
+    M: Regressor + Send + Sync + 'static,
+    S: ScoreFunction + Send + Sync + 'static,
 {
     let Some(entry) = registry.entry(model) else {
         return unknown_model(model);
@@ -816,8 +816,8 @@ fn predict<M, S>(
     tenant: &str,
 ) -> Response
 where
-    M: Regressor + Clone + Send + Sync + 'static,
-    S: ScoreFunction + Clone + Send + Sync + 'static,
+    M: Regressor + Send + Sync + 'static,
+    S: ScoreFunction + Send + Sync + 'static,
 {
     // A valid client-supplied ID (exactly 32 lowercase hex digits) is an
     // explicit opt-in: it forces sampling so an upstream hop's decision
@@ -850,8 +850,8 @@ fn predict_inner<M, S>(
     tenant: &str,
 ) -> Response
 where
-    M: Regressor + Clone + Send + Sync + 'static,
-    S: ScoreFunction + Clone + Send + Sync + 'static,
+    M: Regressor + Send + Sync + 'static,
+    S: ScoreFunction + Send + Sync + 'static,
 {
     // Stage clocks are read only while a trace is live on this thread.
     let traced = trace::active_id().is_some();
@@ -937,8 +937,8 @@ fn end_stage(name: &'static str, started: Option<Instant>) {
 /// and shedding them would skew replica calibration.
 fn observe_post<M, S>(req: &Request, registry: &ModelRegistry<M, S>, model: &str) -> Response
 where
-    M: Regressor + Clone + Send + Sync + 'static,
-    S: ScoreFunction + Clone + Send + Sync + 'static,
+    M: Regressor + Send + Sync + 'static,
+    S: ScoreFunction + Send + Sync + 'static,
 {
     let Some(entry) = registry.entry(model) else {
         return unknown_model(model);
@@ -964,8 +964,8 @@ where
 /// produces / the durable checkpoint files contain).
 fn admin_reload<M, S>(req: &Request, registry: &ModelRegistry<M, S>, model: &str) -> Response
 where
-    M: Regressor + Clone + Send + Sync + 'static,
-    S: ScoreFunction + Clone + Send + Sync + 'static,
+    M: Regressor + Send + Sync + 'static,
+    S: ScoreFunction + Send + Sync + 'static,
 {
     match registry.reload(model, req.body) {
         Ok(report) if report.promoted => Response::json(200, report.to_json()),
@@ -988,8 +988,8 @@ where
 /// injects `shard="…"`).
 fn metrics<M, S>(registry: &ModelRegistry<M, S>, probe: &OnceLock<ServerStatsProbe>) -> Response
 where
-    M: Regressor + Clone + Send + Sync + 'static,
-    S: ScoreFunction + Clone + Send + Sync + 'static,
+    M: Regressor + Send + Sync + 'static,
+    S: ScoreFunction + Send + Sync + 'static,
 {
     // Legacy single-engine gauges track the default model (bare-endpoint
     // compatibility); per-model truth lives in the labeled series below.
@@ -1026,8 +1026,8 @@ where
 /// `# TYPE` header appears once.
 fn model_metrics_text<M, S>(registry: &ModelRegistry<M, S>) -> String
 where
-    M: Regressor + Clone + Send + Sync + 'static,
-    S: ScoreFunction + Clone + Send + Sync + 'static,
+    M: Regressor + Send + Sync + 'static,
+    S: ScoreFunction + Send + Sync + 'static,
 {
     let entries: Vec<Arc<ModelEntry<M, S>>> = registry.models_read().values().cloned().collect();
     if entries.is_empty() {
@@ -1072,8 +1072,8 @@ where
 /// owns the truth).
 fn tenant_metrics_text<M, S>(registry: &ModelRegistry<M, S>) -> String
 where
-    M: Regressor + Clone + Send + Sync + 'static,
-    S: ScoreFunction + Clone + Send + Sync + 'static,
+    M: Regressor + Send + Sync + 'static,
+    S: ScoreFunction + Send + Sync + 'static,
 {
     let Some(limiter) = registry.limiter() else {
         return String::new();
@@ -1135,7 +1135,7 @@ mod tests {
         cy: &[f64],
     ) -> SelfHealingService<M, AbsoluteResidual>
     where
-        M: Regressor + Clone + Send + Sync,
+        M: Regressor + Send + Sync,
     {
         SelfHealingService::new(
             model,
@@ -1176,10 +1176,23 @@ mod tests {
         body: &[u8],
     ) -> Response
     where
-        M: Regressor + Clone + Send + Sync + 'static,
+        M: Regressor + Send + Sync + 'static,
+    {
+        request(registry, "POST", target, headers, body)
+    }
+
+    fn request<M>(
+        registry: &ModelRegistry<M, AbsoluteResidual>,
+        method: &str,
+        target: &str,
+        headers: &[(&str, &str)],
+        body: &[u8],
+    ) -> Response
+    where
+        M: Regressor + Send + Sync + 'static,
     {
         let req = Request {
-            method: "POST",
+            method,
             target,
             http11: true,
             headers: Headers::from_pairs(headers),
@@ -1193,7 +1206,7 @@ mod tests {
     /// What `engine` renders for `queries` right now, computed in process.
     fn fresh_render<M>(engine: &ServeEngine<M, AbsoluteResidual>, queries: &[Vec<f32>]) -> String
     where
-        M: Regressor + Clone + Send + Sync + 'static,
+        M: Regressor + Send + Sync + 'static,
     {
         let (results, stamp) = engine.predict_batch_stamped(queries);
         render_predict_body(stamp.mode, &results)
@@ -1340,6 +1353,154 @@ mod tests {
         let again = post(&registry, "/v1/predict", &[], body);
         assert_eq!(registry.cache().stats().hits, hits + 1);
         assert_eq!(String::from_utf8_lossy(&again.body), e2_body);
+        registry.shutdown_batchers();
+    }
+
+    /// Runs `f` on its own thread and waits a bounded time for its answer,
+    /// so a call that waits on a parked chain fails the test instead of
+    /// hanging it.
+    fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{what} waited on the parked chain"))
+    }
+
+    /// A gated model and the engine around it.
+    fn gated_engine(
+    ) -> (Arc<Gate>, ServeEngine<impl Regressor + Send + Sync + 'static, AbsoluteResidual>) {
+        let gate = Arc::new(Gate::default());
+        let model = {
+            let gate = Arc::clone(&gate);
+            move |f: &[f32]| {
+                gate.pass();
+                f64::from(f[0])
+            }
+        };
+        let (cx, cy) = calib(200);
+        (gate, ServeEngine::new(healing_with(model, &cx, &cy), vec![], 1))
+    }
+
+    /// The truth stream the promotion test feeds: residuals from +6 down,
+    /// far outside the calibrated ±1, so coverage collapses, the healing
+    /// layer alarms, and it promotes a refit on the shifted scores.
+    fn shifted_truth(i: usize) -> (Vec<f32>, f64) {
+        let x = (i % 200) as f32;
+        (vec![x], f64::from(x) + 6.0 - i as f64 / 100.0)
+    }
+
+    #[test]
+    fn predict_parked_across_a_promoting_observe_keeps_its_pre_promotion_stamp() {
+        // Where the stream promotes: the observation that takes an identical
+        // ungated engine out of `Recalibrating` into `Healthy`.
+        let probe = engine();
+        let promoting = (0..2000)
+            .find(|&i| {
+                let before = probe.heal_state();
+                let (x, y) = shifted_truth(i);
+                probe.observe(&x, y);
+                before == HealState::Recalibrating && probe.heal_state() == HealState::Healthy
+            })
+            .expect("the shifted stream promotes");
+        fn promotions<M>(engine: &ServeEngine<M, AbsoluteResidual>) -> u64
+        where
+            M: Regressor + Send + Sync + 'static,
+        {
+            SelfHealingService::restore(ident as Model, AbsoluteResidual, engine.checkpoint())
+                .expect("own checkpoint")
+                .promotion_count()
+        }
+        assert_eq!(promotions(&probe), 1);
+
+        let (gate, engine) = gated_engine();
+        let engine = Arc::new(engine);
+        for i in 0..promoting {
+            let (x, y) = shifted_truth(i);
+            engine.observe(&x, y);
+        }
+        assert_eq!(engine.heal_state(), HealState::Recalibrating);
+        let mode = engine.mode();
+        let generation = engine.generation();
+        let query = vec![vec![21.0f32]];
+        let (before, _) = engine.predict_batch_stamped(&query);
+
+        // Park a predict inside the forward, then post the promoting truth.
+        gate.arm();
+        let parked = {
+            let (engine, query) = (Arc::clone(&engine), query.clone());
+            std::thread::spawn(move || engine.predict_batch_stamped(&query))
+        };
+        gate.wait_while(|st| !st.parked);
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let observer = {
+            let engine = Arc::clone(&engine);
+            let (x, y) = shifted_truth(promoting);
+            std::thread::spawn(move || {
+                engine.observe(&x, y);
+                let _ = done_tx.send(());
+            })
+        };
+        assert!(
+            done.recv_timeout(std::time::Duration::from_millis(200)).is_err(),
+            "the observe ran while a predict held the chain"
+        );
+        assert_eq!(engine.heal_state(), HealState::Recalibrating);
+        assert_eq!(engine.observations(), promoting as u64);
+        gate.release();
+
+        let (results, stamp) = parked.join().expect("parked predict");
+        assert_eq!(stamp, BatchStamp { generation: Some(generation), mode });
+        assert_eq!(results, before, "the parked predict served the pre-promotion state");
+        done.recv_timeout(std::time::Duration::from_secs(10)).expect("the observe finishes");
+        observer.join().expect("observer");
+        assert_eq!(promotions(&engine), 1);
+        assert_eq!(engine.heal_state(), HealState::Healthy);
+        assert_ne!(engine.generation(), generation);
+        let (after, stamp) = engine.predict_batch_stamped(&query);
+        assert_eq!(stamp.generation, Some(engine.generation()));
+        assert_ne!(after, before, "the promotion moved the interval");
+    }
+
+    #[test]
+    fn snapshot_reads_never_wait_on_a_parked_chain() {
+        let (gate, engine) = gated_engine();
+        let registry = Arc::new(ModelRegistry::new(tuning()));
+        let entry = registry.register(DEFAULT_MODEL, engine);
+        let engine = entry.engine();
+        gate.arm();
+        let parked = {
+            let registry = Arc::clone(&registry);
+            let body = br#"{"features":[[3.0]]}"#;
+            std::thread::spawn(move || post(&registry, "/v1/predict", &[], body))
+        };
+        gate.wait_while(|st| !st.parked);
+
+        let get = |path: &'static str| {
+            let registry = Arc::clone(&registry);
+            within(path, move || request(&registry, "GET", path, &[], b""))
+        };
+        assert_eq!(get("/readyz").status, 200);
+        let metrics = get("/metrics");
+        assert_eq!(metrics.status, 200);
+        let metrics = String::from_utf8_lossy(&metrics.body).into_owned();
+        assert!(metrics.contains("cardest_model_observations{model=\"default\"} 0"), "{metrics}");
+        assert!(metrics.contains("cardest_model_heal_state{model=\"default\"} 0"), "{metrics}");
+        let read = |what: &str, f: fn(&ServeEngine<_, AbsoluteResidual>) -> String| {
+            let engine = Arc::clone(&engine);
+            within(what, move || f(&engine))
+        };
+        assert_eq!(read("mode", |e| format!("{:?}", e.mode())), "Stable");
+        assert_eq!(read("heal_state", |e| format!("{:?}", e.heal_state())), "Healthy");
+        assert_eq!(read("observations", |e| e.observations().to_string()), "0");
+        let heal = HealConfig { min_history: 60, cooldown_base: 100, ..Default::default() };
+        assert_eq!(read("heal_config", |e| format!("{:?}", e.heal_config())), format!("{heal:?}"));
+        let alpha = PiServiceConfig::default().alpha;
+        assert_eq!(read("alpha", |e| e.alpha().to_string()), alpha.to_string());
+
+        gate.release();
+        assert_eq!(parked.join().expect("parked predict").status, 200);
         registry.shutdown_batchers();
     }
 

@@ -12,8 +12,11 @@ use cardest::pipeline::{
     run_jackknife_cv_lwnn, run_locally_weighted, run_split_conformal, train_mscn,
     MethodResult, ScoreKind,
 };
-use cardest::query::{generate_workload, GeneratorConfig};
-use cardest::storage::IndexedTable;
+use cardest::query::{
+    generate_join_workload, generate_workload, random_templates, GeneratorConfig,
+    JoinGeneratorConfig,
+};
+use cardest::storage::BitmapIndex;
 
 use crate::report::ExperimentRecord;
 use crate::scale::Scale;
@@ -206,7 +209,7 @@ pub fn ablation(scale: &Scale) -> Vec<ExperimentRecord> {
         }
     }
 
-    // --- 5. Naive scan vs CSR-index COUNT(*). ---
+    // --- 5. Naive scan vs bitmap-index COUNT(*), and star-join counts. ---
     let table = datagen::dmv(scale.rows, scale.seed + 5);
     let queries = generate_workload(&table, 200, &GeneratorConfig::default(), 77);
     let t0 = Instant::now();
@@ -215,7 +218,7 @@ pub fn ablation(scale: &Scale) -> Vec<ExperimentRecord> {
         checksum_scan += table.count(&lq.query);
     }
     let scan_time = t0.elapsed().as_secs_f64();
-    let indexed = IndexedTable::build(table.clone());
+    let indexed = BitmapIndex::build(&table);
     let t1 = Instant::now();
     let mut checksum_idx = 0u64;
     for lq in &queries {
@@ -224,8 +227,26 @@ pub fn ablation(scale: &Scale) -> Vec<ExperimentRecord> {
     let idx_time = t1.elapsed().as_secs_f64();
     assert_eq!(checksum_scan, checksum_idx, "evaluators disagree");
     rec.extra("count_naive_scan_secs", scan_time);
-    rec.extra("count_csr_index_secs", idx_time);
+    rec.extra("count_bitmap_index_secs", idx_time);
     rec.extra("count_speedup", scan_time / idx_time.max(1e-12));
+
+    let star = datagen::dsb_star(scale.fact_rows, scale.seed + 11);
+    let templates = random_templates(&star, 5, scale.seed + 12);
+    let joins = generate_join_workload(
+        &star,
+        &templates,
+        5,
+        &JoinGeneratorConfig::default(),
+        scale.seed + 13,
+    );
+    let t2 = Instant::now();
+    let mut checksum_star = 0u64;
+    for lq in &joins {
+        checksum_star += star.count(&lq.query);
+    }
+    rec.extra("count_star_join_secs", t2.elapsed().as_secs_f64());
+    let labelled: u64 = joins.iter().map(|lq| lq.cardinality).sum();
+    assert_eq!(checksum_star, labelled, "star-join counts disagree with their labels");
 
     vec![rec]
 }

@@ -570,13 +570,16 @@ pub fn tenant(scale: &Scale) -> Vec<ExperimentRecord> {
 
     // Admission-queue overflow: one request larger than the queue sheds
     // with 503 + a tenant-aware Retry-After instead of queueing unboundedly.
+    // The probe runs as a tenant of its own: its bucket is full, so only
+    // the queue can refuse it (the aggressor's just-drained bucket would
+    // answer 429 first whenever its next token is not yet due).
     let oversized: Vec<Vec<f32>> = vec![bench.test.x[0].clone(); FAIR_QUEUE_CAP + 1];
     let mut fair_probe = HttpClient::connect(fair_addr).expect("connect overflow probe");
     let overflow = fair_probe
         .request(
             "POST",
             "/v1/predict",
-            [(TENANT_HEADER, "aggressor")],
+            [(TENANT_HEADER, "overflow-probe")],
             &predict_body(&oversized, None),
         )
         .expect("overflow POST");

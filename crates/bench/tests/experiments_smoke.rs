@@ -213,7 +213,8 @@ fn ablation_runs_all_four_studies() {
     assert!(rec.rows.iter().any(|r| r.group == "difficulty/ensemble"));
     assert!(rec.rows.iter().any(|r| r.group.starts_with("naru-samples")));
     assert!(extra(rec, "count_naive_scan_secs") > 0.0);
-    assert!(extra(rec, "count_csr_index_secs") > 0.0);
+    assert!(extra(rec, "count_bitmap_index_secs") > 0.0);
+    assert!(extra(rec, "count_star_join_secs") > 0.0);
     // More sampling budget should not worsen Naru's geo q-error much.
     let q8 = extra(rec, "naru_geo_qerror_samples_8");
     let q128 = extra(rec, "naru_geo_qerror_samples_128");

@@ -2,8 +2,8 @@
 //!
 //! The ground-truth substrate of the reproduction: dictionary-coded columnar
 //! tables, conjunctive point/range predicates, exact `COUNT(*)` via naive
-//! scans and CSR value indexes, and star-schema semi-join counting for the
-//! multi-table (DSB/JOB stand-in) workloads.
+//! scans and a per-code bitmap index, and star-schema semi-join counting for
+//! the multi-table (DSB/JOB stand-in) workloads.
 //!
 //! ```
 //! use ce_storage::{ColumnKind, ConjunctiveQuery, Predicate, Schema, Table};
@@ -22,7 +22,7 @@ mod predicate;
 mod schema;
 mod table;
 
-pub use index::{ColumnIndex, IndexedTable};
+pub use index::BitmapIndex;
 pub use join::{StarQuery, StarSchema};
 pub use predicate::{ConjunctiveQuery, Op, Predicate};
 pub use schema::{ColumnKind, ColumnMeta, Schema};

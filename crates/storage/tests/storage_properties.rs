@@ -1,8 +1,6 @@
 //! Property-based tests of the storage engine's counting invariants.
 
-use ce_storage::{
-    ColumnKind, ConjunctiveQuery, IndexedTable, Predicate, Schema, Table,
-};
+use ce_storage::{BitmapIndex, ColumnKind, ConjunctiveQuery, Predicate, Schema, Table};
 use proptest::prelude::*;
 
 const DOMAINS: [u32; 3] = [6, 20, 3];
@@ -44,10 +42,10 @@ fn query_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
 }
 
 proptest! {
-    /// The CSR-index evaluator agrees with the naive scan on everything.
+    /// The bitmap-index evaluator agrees with the naive scan on everything.
     #[test]
     fn indexed_count_equals_naive(table in table_strategy(), q in query_strategy()) {
-        let indexed = IndexedTable::build(table.clone());
+        let indexed = BitmapIndex::build(&table);
         prop_assert_eq!(indexed.count(&q), table.count(&q));
     }
 

@@ -4,7 +4,7 @@
 use cardest::datagen::{census, dmv, dsb_star, forest, power};
 use cardest::estimators::{AviModel, SingleTableFeaturizer, TableStatistics};
 use cardest::query::{generate_workload, GeneratorConfig};
-use cardest::storage::{ConjunctiveQuery, IndexedTable, Predicate, StarQuery};
+use cardest::storage::{BitmapIndex, ConjunctiveQuery, Predicate, StarQuery};
 
 #[test]
 fn naive_and_indexed_counts_agree_on_every_dataset() {
@@ -15,7 +15,7 @@ fn naive_and_indexed_counts_agree_on_every_dataset() {
         ("power", power(3_000, 4)),
     ] {
         let workload = generate_workload(&table, 120, &GeneratorConfig::default(), 5);
-        let indexed = IndexedTable::build(table.clone());
+        let indexed = BitmapIndex::build(&table);
         for lq in &workload {
             assert_eq!(
                 table.count(&lq.query),

@@ -23,13 +23,14 @@
 //! The summary is exported to `BENCH_obs.json` in the working directory
 //! (grep-gated by CI) alongside the usual `results/obs.json` record.
 
-use std::time::Instant;
+use std::hint::black_box;
 
 use cardest::conformal::{AbsoluteResidual, PiService, PiServiceConfig};
 use cardest::pipeline::train_mscn;
 use ce_telemetry::trace;
 
 use crate::report::ExperimentRecord;
+use crate::samples::{samples_member, timed};
 use crate::scale::Scale;
 
 use super::scoring::fig6;
@@ -60,21 +61,6 @@ const TRACING_PASSES: usize = 12;
 
 /// Queries streamed in each prequential phase of the drift scenario.
 const DRIFT_STREAM: usize = 400;
-
-/// Best-of wall-clock seconds for `f`, recording samples under `label`.
-fn best_of<R>(label: &str, reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let r = criterion::black_box(f());
-        let elapsed = start.elapsed();
-        criterion::record_sample(label, elapsed.as_nanos());
-        best = best.min(elapsed.as_secs_f64());
-        out = Some(r);
-    }
-    (out.expect("reps must be positive"), best)
-}
 
 /// Runs the observability experiment; see the module docs.
 pub fn obs(scale: &Scale) -> Vec<ExperimentRecord> {
@@ -134,13 +120,32 @@ pub fn obs(scale: &Scale) -> Vec<ExperimentRecord> {
         }
         last
     };
-    // Warm both code paths once before timing.
-    criterion::black_box(serve());
-    let (ivs_off, secs_off) = best_of("obs/serving_telemetry_off", SAMPLES, serve);
+    // Warm both code paths once before timing. Samples interleave the two
+    // settings, as the tracing phase below does, so host drift between
+    // samples hits both sides before best-of picks (timing every off
+    // sample before every on sample read drift as overhead), and the
+    // setting that goes first alternates, so neither always runs right
+    // after the other.
+    let ivs_off = black_box(serve());
     ce_telemetry::set_enabled(true);
-    let (ivs_on, secs_on) = best_of("obs/serving_telemetry_on", SAMPLES, serve);
+    let ivs_on = black_box(serve());
     ce_telemetry::set_enabled(false);
     assert_eq!(ivs_off, ivs_on, "telemetry changed served intervals");
+    let mut secs_off = f64::INFINITY;
+    let mut secs_on = f64::INFINITY;
+    for sample in 0..SAMPLES {
+        for on in [sample % 2 == 1, sample % 2 == 0] {
+            ce_telemetry::set_enabled(on);
+            if on {
+                let (ivs, secs) = timed("obs/serving_telemetry_on", serve);
+                assert_eq!(ivs, ivs_off, "telemetry changed served intervals");
+                secs_on = secs_on.min(secs);
+            } else {
+                secs_off = secs_off.min(timed("obs/serving_telemetry_off", serve).1);
+            }
+        }
+        ce_telemetry::set_enabled(false);
+    }
     let overhead_pct = (secs_on - secs_off) / secs_off * 100.0;
     let queries_per_sample = (batch.len() * PASSES_PER_SAMPLE) as f64;
     rec.extra("serving_qps_off", queries_per_sample / secs_off);
@@ -177,23 +182,17 @@ pub fn obs(scale: &Scale) -> Vec<ExperimentRecord> {
     let mut secs_untraced = f64::INFINITY;
     let mut secs_sampled = f64::INFINITY;
     trace::set_sample_rate(0);
-    let ivs_untraced = criterion::black_box(serve_traced()); // warm both paths
+    let ivs_untraced = black_box(serve_traced()); // warm both paths
     trace::set_sample_rate(trace::DEFAULT_SAMPLE_RATE);
-    let ivs_sampled = criterion::black_box(serve_traced());
+    let ivs_sampled = black_box(serve_traced());
     assert_eq!(ivs_untraced, ivs_sampled, "tracing changed served intervals");
     for _ in 0..TRACING_SAMPLES {
         trace::set_sample_rate(0);
-        let start = Instant::now();
-        criterion::black_box(serve_traced());
-        let elapsed = start.elapsed();
-        criterion::record_sample("obs/serving_trace_off", elapsed.as_nanos());
-        secs_untraced = secs_untraced.min(elapsed.as_secs_f64());
+        let (_, off) = timed("obs/serving_trace_off", serve_traced);
+        secs_untraced = secs_untraced.min(off);
         trace::set_sample_rate(trace::DEFAULT_SAMPLE_RATE);
-        let start = Instant::now();
-        criterion::black_box(serve_traced());
-        let elapsed = start.elapsed();
-        criterion::record_sample("obs/serving_trace_sampled", elapsed.as_nanos());
-        secs_sampled = secs_sampled.min(elapsed.as_secs_f64());
+        let (_, sampled) = timed("obs/serving_trace_sampled", serve_traced);
+        secs_sampled = secs_sampled.min(sampled);
     }
     trace::set_sample_rate(0);
     let tracing_overhead_pct = (secs_sampled - secs_untraced) / secs_untraced * 100.0;
@@ -268,7 +267,7 @@ pub fn obs(scale: &Scale) -> Vec<ExperimentRecord> {
 }
 
 /// Writes `BENCH_obs.json` in the working directory: the gate fields CI
-/// greps plus the scalar metrics and raw criterion samples.
+/// greps plus the scalar metrics and raw samples.
 fn write_bench_summary(
     scale: &Scale,
     overhead_pct: f64,
@@ -307,15 +306,8 @@ fn write_bench_summary(
         .collect();
     json.push_str(&scalars.join(",\n"));
     json.push_str("\n  },\n");
-    let samples = criterion::samples_json();
-    let indented: String = samples
-        .trim_end()
-        .lines()
-        .enumerate()
-        .map(|(i, l)| if i == 0 { l.to_string() } else { format!("  {l}") })
-        .collect::<Vec<_>>()
-        .join("\n");
-    json.push_str(&format!("  \"samples_ns\": {indented}\n}}\n"));
+    json.push_str(&samples_member());
+    json.push_str("\n}\n");
     std::fs::write("BENCH_obs.json", &json).expect("write BENCH_obs.json");
     println!("  [saved BENCH_obs.json]");
 }

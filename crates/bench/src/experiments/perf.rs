@@ -19,17 +19,14 @@
 //! kernel level this host dispatches to are compared bit-for-bit with a
 //! naive loop on the MSCN layer shapes; the summary records that level
 //! (`kernel_level`) and the verdict (`kernel_matches_reference`). Wall
-//! times flow through the vendored criterion sample registry
-//! (`criterion::record_sample`) — the same path `cargo bench` uses — and
-//! the summary is exported to `BENCH_perf.json` in the working directory
-//! alongside the usual `results/perf.json` record.
+//! times are recorded in the [`samples`](crate::samples) registry, and the
+//! summary, with every sample, is exported to `BENCH_perf.json` in the
+//! working directory alongside the usual `results/perf.json` record.
 //!
 //! On a single-core host the thread counts ≥ 2 measure pure overhead (the
 //! pool degrades to serial chunk draining), so throughput parity — not a
 //! speedup — is the expectation there; `effective_parallelism` in the
 //! summary records which regime produced the numbers.
-
-use std::time::Instant;
 
 use cardest::conformal::{
     AbsoluteResidual, JackknifeCv, PiService, PiServiceConfig, Regressor,
@@ -41,6 +38,7 @@ use cardest::pipeline::train_mscn;
 use ce_parallel::with_threads;
 
 use crate::report::ExperimentRecord;
+use crate::samples::{best_of, samples_member};
 use crate::scale::Scale;
 
 use super::single_table::{standard_bench, ALPHA};
@@ -53,23 +51,6 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// multi-core hosts should clear 1.0 comfortably, so 0.8 only trips when
 /// parallel dispatch actively loses throughput beyond measurement noise.
 const MIN_SERVING_RATIO: f64 = 0.8;
-
-/// Best-of-`reps` wall-clock seconds for `f`, recording every sample under
-/// `label` in the criterion registry. Returns the last result and the
-/// fastest time (the standard noise-robust estimator for short benches).
-fn best_of<R>(label: &str, reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let r = criterion::black_box(f());
-        let elapsed = start.elapsed();
-        criterion::record_sample(label, elapsed.as_nanos());
-        best = best.min(elapsed.as_secs_f64());
-        out = Some(r);
-    }
-    (out.expect("reps must be positive"), best)
-}
 
 /// Deterministic pseudo-random matrix (same LCG the kernel tests use).
 fn lcg_matrix(rows: usize, cols: usize, seed: u32) -> Matrix {
@@ -279,7 +260,7 @@ pub fn perf(scale: &Scale) -> Vec<ExperimentRecord> {
 }
 
 /// Writes `BENCH_perf.json` in the working directory: the scalar summary
-/// plus the raw nanosecond samples from the criterion registry.
+/// plus the raw nanosecond samples.
 fn write_bench_summary(
     scale: &Scale,
     hw: usize,
@@ -302,16 +283,8 @@ fn write_bench_summary(
         .collect();
     json.push_str(&scalars.join(",\n"));
     json.push_str("\n  },\n");
-    // Indent the registry export two spaces so the nesting reads cleanly.
-    let samples = criterion::samples_json();
-    let indented: String = samples
-        .trim_end()
-        .lines()
-        .enumerate()
-        .map(|(i, l)| if i == 0 { l.to_string() } else { format!("  {l}") })
-        .collect::<Vec<_>>()
-        .join("\n");
-    json.push_str(&format!("  \"samples_ns\": {indented}\n}}\n"));
+    json.push_str(&samples_member());
+    json.push_str("\n}\n");
     std::fs::write("BENCH_perf.json", &json).expect("write BENCH_perf.json");
     println!("  [saved BENCH_perf.json]");
 }

@@ -9,6 +9,7 @@
 
 pub mod experiments;
 pub mod report;
+pub mod samples;
 pub mod scale;
 
 pub use report::{ExperimentRecord, MethodRow};

@@ -13,8 +13,8 @@ use std::cell::RefCell;
 
 use ce_conformal::Regressor;
 use ce_nn::{
-    segment_mean_backward, segment_mean_into, AdamConfig, Loss, Matrix, Mlp, MlpConfig, Mse,
-    Pinball, TASK_FLOPS,
+    segment_mean_backward_into, segment_mean_into, AdamConfig, Loss, Mlp, MlpConfig, Mse,
+    Pinball, Tape, TASK_FLOPS,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -168,6 +168,18 @@ thread_local! {
     static WORKSPACE: RefCell<Workspace> = const { RefCell::new(Workspace::new()) };
 }
 
+/// What a fit trains through: one [`Tape`] per network, whose inputs the
+/// batches are packed straight into, and the batch's segments and targets.
+/// Made once per fit; every buffer keeps its capacity across batches, so
+/// once they fit the largest batch a step allocates nothing.
+#[derive(Default)]
+struct Training {
+    pred: Tape,
+    top: Tape,
+    segments: Vec<usize>,
+    targets: Vec<f32>,
+}
+
 /// The trained MSCN model.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Mscn {
@@ -239,93 +251,85 @@ impl Mscn {
 
         let mut order: Vec<usize> = (0..features.len()).collect();
         let mut shuffle_rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
+        let mut training = Training::default();
         for _ in 0..config.epochs {
             order.shuffle(&mut shuffle_rng);
             for chunk in order.chunks(config.batch_size) {
-                model.train_batch(features, &targets, chunk, config.loss);
+                model.train_batch(&mut training, features, &targets, chunk, config.loss);
             }
         }
         model
     }
 
-    /// One minibatch step; returns the batch loss (used by tests).
+    /// One minibatch step through the fit's tapes.
     fn train_batch(
         &mut self,
+        tr: &mut Training,
         features: &[Vec<f32>],
         targets: &[f32],
         batch: &[usize],
         loss: TrainLoss,
-    ) -> f32 {
-        // Packed into fresh buffers, which become the training matrices.
-        let queries: Vec<&[f32]> = batch.iter().map(|&i| features[i].as_slice()).collect();
-        let mut packed = Workspace::new();
-        self.pack(&queries, &mut packed);
-        let Workspace { segments, preds, top_in, .. } = packed;
-        let width = self.pred_mlp.input_dim();
-        let pred_matrix = Matrix::from_vec(preds.len() / width, width, preds);
-        let mut top_in = Matrix::from_vec(batch.len(), self.top_mlp.input_dim(), top_in);
+    ) {
+        let queries = batch.iter().map(|&i| features[i].as_slice());
+        self.pack(queries, &mut tr.segments, tr.pred.input_mut(), tr.top.input_mut());
 
         // Forward: predicate module -> pool -> (with context) top.
-        let (pred_hidden, pred_cache) = self.pred_mlp.forward(&pred_matrix);
-        segment_mean_into(pred_hidden.data(), self.hidden, &segments, top_in.data_mut());
-        let (out, top_cache) = self.top_mlp.forward(&top_in);
+        let pooled = self.pred_mlp.forward(&mut tr.pred);
+        segment_mean_into(pooled, self.hidden, &tr.segments, tr.top.input_mut());
+        self.top_mlp.forward(&mut tr.top);
 
         // Loss gradient on log-selectivity.
-        let preds: &[f32] = out.data();
-        let ys: Vec<f32> = batch.iter().map(|&i| targets[i]).collect();
-        let (value, grad) = match loss {
-            TrainLoss::LogMse => {
-                (Mse.mean_loss(preds, &ys), Mse.mean_grad(preds, &ys))
-            }
-            TrainLoss::Pinball(tau) => {
-                let p = Pinball::new(tau);
-                (p.mean_loss(preds, &ys), p.mean_grad(preds, &ys))
-            }
-        };
-
-        // Backward through top, split pooled gradient, through predicates.
-        let grad_top_in =
-            self.top_mlp.backward(&top_cache, &Matrix::column_vector(&grad));
-        let pooled_grad = Matrix::from_vec(
-            batch.len(),
-            self.hidden,
-            (0..batch.len())
-                .flat_map(|q| &grad_top_in.row(q)[..self.hidden])
-                .copied()
-                .collect(),
-        );
-        let pred_grad = segment_mean_backward(&pooled_grad, &segments);
-        if pred_grad.rows() > 0 {
-            self.pred_mlp.backward(&pred_cache, &pred_grad);
+        tr.targets.clear();
+        tr.targets.extend(batch.iter().map(|&i| targets[i]));
+        let (preds, grad) = tr.top.output_and_grad_mut();
+        match loss {
+            TrainLoss::LogMse => Mse.mean_grad_into(preds, &tr.targets, grad),
+            TrainLoss::Pinball(tau) => Pinball::new(tau).mean_grad_into(preds, &tr.targets, grad),
         }
-        value
+
+        // Backward through top, split the pooled gradient over each query's
+        // predicate rows, and backward through the predicate module, whose
+        // input gradient nothing uses.
+        let grad_top_in = self.top_mlp.backward(&mut tr.top, true);
+        let (pred_rows, pred_grad) = tr.pred.output_and_grad_mut();
+        segment_mean_backward_into(grad_top_in, self.hidden, &tr.segments, pred_grad);
+        if !pred_rows.is_empty() {
+            self.pred_mlp.backward(&mut tr.pred, false);
+        }
     }
 
-    /// Packs encoded queries into `ws` for a forward pass: each one's
-    /// predicate count, every predicate row (`[column one-hot, is_point, lo,
-    /// hi]`) in one flat buffer, and the top-network input rows with each
-    /// query's context already in the tail. The pooled head of each top row
-    /// is left for the forward pass.
-    fn pack<Q: AsRef<[f32]>>(&self, queries: &[Q], ws: &mut Workspace) {
+    /// Packs encoded queries for a forward pass: each one's predicate count
+    /// into `segments`, every predicate row (`[column one-hot, is_point, lo,
+    /// hi]`) into `preds`, and the top-network input rows, with each
+    /// query's context already in the tail, into `top_in`. The pooled head
+    /// of each top row is left for the forward pass. The three are cleared
+    /// first and keep their capacity.
+    fn pack<'q>(
+        &self,
+        queries: impl Iterator<Item = &'q [f32]>,
+        segments: &mut Vec<usize>,
+        preds: &mut Vec<f32>,
+        top_in: &mut Vec<f32>,
+    ) {
         let n_cols = self.layout.n_columns();
         let width = self.pred_mlp.input_dim();
         let top_width = self.top_mlp.input_dim();
-        ws.segments.clear();
-        ws.preds.clear();
-        ws.top_in.clear();
-        ws.top_in.resize(queries.len() * top_width, 0.0);
-        for (features, top_row) in queries.iter().zip(ws.top_in.chunks_exact_mut(top_width)) {
-            let features = features.as_ref();
-            let start = ws.preds.len();
+        segments.clear();
+        preds.clear();
+        top_in.clear();
+        for features in queries {
+            let start = preds.len();
             self.layout.for_each_predicate(features, |column, block| {
-                let row = ws.preds.len();
-                ws.preds.resize(row + width, 0.0);
-                ws.preds[row + column] = 1.0;
-                ws.preds[row + n_cols..row + width].copy_from_slice(block);
+                let row = preds.len();
+                preds.resize(row + width, 0.0);
+                preds[row + column] = 1.0;
+                preds[row + n_cols..row + width].copy_from_slice(block);
             });
-            let count = (ws.preds.len() - start) / width;
-            ws.segments.push(count);
-            self.layout.write_context(features, count, &mut top_row[self.hidden..]);
+            let count = (preds.len() - start) / width;
+            segments.push(count);
+            let row = top_in.len();
+            top_in.resize(row + top_width, 0.0);
+            self.layout.write_context(features, count, &mut top_in[row + self.hidden..]);
         }
     }
 
@@ -338,7 +342,8 @@ impl Mscn {
     /// how a batch is cut.
     fn forward_task<Q: AsRef<[f32]>>(&self, queries: &[Q], out: &mut [f64]) {
         WORKSPACE.with_borrow_mut(|ws| {
-            self.pack(queries, ws);
+            let queries = queries.iter().map(AsRef::as_ref);
+            self.pack(queries, &mut ws.segments, &mut ws.preds, &mut ws.top_in);
             let pooled = self.pred_mlp.infer_rows(&ws.preds, &mut ws.out, &mut ws.scratch);
             segment_mean_into(pooled, self.hidden, &ws.segments, &mut ws.top_in);
             let log_sel = self.top_mlp.infer_rows(&ws.top_in, &mut ws.out, &mut ws.scratch);

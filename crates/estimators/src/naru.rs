@@ -15,7 +15,7 @@
 use ce_conformal::Regressor;
 use ce_nn::{
     class_probability, softmax_cross_entropy, softmax_rows, AdamConfig, Embedding,
-    Matrix, Mlp, MlpConfig,
+    Matrix, Mlp, MlpConfig, Tape,
 };
 use ce_storage::Table;
 use rand::rngs::StdRng;
@@ -68,40 +68,44 @@ struct Conditional {
 }
 
 impl Conditional {
-    /// Builds inputs for a batch of ancestor prefixes.
-    fn inputs(&self, prefixes: &[&[u32]]) -> Matrix {
-        let e = self.embeddings[0].dim();
-        let width = self.embeddings.len() * e;
-        let mut rows = Vec::with_capacity(prefixes.len());
+    /// Writes the input rows for a batch of ancestor prefixes into `out`,
+    /// replacing what it held: each prefix's ancestor embeddings, in column
+    /// order.
+    fn write_inputs(&self, prefixes: &[&[u32]], out: &mut Vec<f32>) {
+        out.clear();
         for prefix in prefixes {
             debug_assert_eq!(prefix.len(), self.embeddings.len());
-            let mut row = Vec::with_capacity(width);
-            for (j, emb) in self.embeddings.iter().enumerate() {
-                row.extend_from_slice(emb.lookup(prefix[j] as usize));
+            for (emb, &value) in self.embeddings.iter().zip(*prefix) {
+                out.extend_from_slice(emb.lookup(value as usize));
             }
-            rows.push(row);
         }
-        Matrix::from_rows(&rows)
     }
 
     /// Logits for a batch of prefixes.
     fn logits(&self, prefixes: &[&[u32]]) -> Matrix {
-        self.mlp.infer(&self.inputs(prefixes))
+        let mut input = Vec::new();
+        self.write_inputs(prefixes, &mut input);
+        self.mlp.infer(&Matrix::from_vec(prefixes.len(), self.mlp.input_dim(), input))
     }
 
-    /// One training step; returns the batch NLL.
-    fn train_batch(&mut self, prefixes: &[&[u32]], targets: &[usize]) -> f32 {
-        let input = self.inputs(prefixes);
-        let (logits, cache) = self.mlp.forward(&input);
+    /// One training step through the conditional's tape; returns the batch
+    /// NLL.
+    fn train_batch(&mut self, tape: &mut Tape, prefixes: &[&[u32]], targets: &[usize]) -> f32 {
+        self.write_inputs(prefixes, tape.input_mut());
+        let logits = self.mlp.forward(tape);
+        let logits = Matrix::from_vec(prefixes.len(), self.mlp.output_dim(), logits.to_vec());
         let (nll, grad_logits) = softmax_cross_entropy(&logits, targets);
-        let grad_input = self.mlp.backward(&cache, &grad_logits);
+        tape.output_and_grad_mut().1.copy_from_slice(grad_logits.data());
+        let grad_input = self.mlp.backward(tape, true);
         // Scatter the input gradient back into each ancestor's embedding.
         let e = self.embeddings[0].dim();
+        let width = self.embeddings.len() * e;
         for (j, emb) in self.embeddings.iter_mut().enumerate() {
             let ids: Vec<usize> =
                 prefixes.iter().map(|p| p[j] as usize).collect();
-            let grad_rows: Vec<Vec<f32>> = (0..prefixes.len())
-                .map(|r| grad_input.row(r)[j * e..(j + 1) * e].to_vec())
+            let grad_rows: Vec<Vec<f32>> = grad_input
+                .chunks_exact(width)
+                .map(|row| row[j * e..(j + 1) * e].to_vec())
                 .collect();
             emb.backward(&ids, &Matrix::from_rows(&grad_rows));
         }
@@ -180,16 +184,17 @@ impl Naru {
         let mut order: Vec<usize> = (0..n).collect();
         let mut shuffle_rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
         let rows: Vec<Vec<u32>> = (0..n).map(|r| table.row(r)).collect();
+        let mut tapes: Vec<Tape> = model.conditionals.iter().map(|_| Tape::new()).collect();
         for _ in 0..config.epochs {
             order.shuffle(&mut shuffle_rng);
             for chunk in order.chunks(config.batch_size) {
-                for (i, cond) in model.conditionals.iter_mut().enumerate() {
+                for (i, (cond, tape)) in model.conditionals.iter_mut().zip(&mut tapes).enumerate() {
                     let col = i + 1;
                     let prefixes: Vec<&[u32]> =
                         chunk.iter().map(|&r| &rows[r][..col]).collect();
                     let targets: Vec<usize> =
                         chunk.iter().map(|&r| rows[r][col] as usize).collect();
-                    cond.train_batch(&prefixes, &targets);
+                    cond.train_batch(tape, &prefixes, &targets);
                 }
             }
         }

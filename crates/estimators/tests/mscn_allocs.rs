@@ -1,6 +1,7 @@
 //! A warm MSCN forward allocates nothing but its result: every buffer it
 //! packs and computes in lives in a per-thread workspace that is sized on
-//! first use and never shrinks.
+//! first use and never shrinks. A training step allocates nothing either:
+//! a fit packs and trains through tapes it makes once.
 //!
 //! A std-only counting `#[global_allocator]` counts allocations made on the
 //! calling thread (the test harness and the pool's workers allocate on
@@ -112,4 +113,30 @@ fn warm_forwards_allocate_only_their_results() {
             "a 256-query forward allocated {allocs} times, not its result and one dispatch"
         );
     }
+}
+
+#[test]
+fn training_steps_allocate_nothing() {
+    let table = dmv(4000, 0);
+    let feat = SingleTableFeaturizer::new(table.schema().clone());
+    let workload = generate_workload(&table, 300, &GeneratorConfig::default(), 1);
+    let x: Vec<Vec<f32>> = workload.iter().map(|lq| feat.encode(&lq.query)).collect();
+    let y: Vec<f64> = workload.iter().map(|lq| lq.selectivity).collect();
+    let layout = MscnLayout::Single(feat);
+    // One thread: a product split over the pool allocates its completion
+    // latch on the caller, so at more threads the count grows with the
+    // number of dispatches, not with anything training allocates.
+    let fit_allocs = |epochs| {
+        let config = MscnConfig { epochs, threads: 1, ..Default::default() };
+        allocs_during(|| {
+            black_box(Mscn::fit(layout.clone(), &x, &y, &config));
+        })
+    };
+    let two = fit_allocs(2);
+    let twenty = fit_allocs(20);
+    assert!(
+        twenty <= two,
+        "a 20-epoch fit allocated {twenty} times, a 2-epoch one {two}: \
+         training steps allocate"
+    );
 }

@@ -48,26 +48,20 @@ impl Adam {
 
     /// Applies one Adam update: `params -= lr * m_hat / (sqrt(v_hat) + eps)`.
     ///
+    /// One pass over the zipped slices, which the compiler vectorizes: each
+    /// element gets the same separate multiplies and adds as the scalar
+    /// loop (no fused multiply-add), and vector division and square root
+    /// round exactly as the scalar ones do, so the result is bit-identical.
+    ///
     /// # Panics
     /// Panics if `params` and `grads` differ in length from the state.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), self.m.len(), "parameter length changed under Adam");
         assert_eq!(grads.len(), self.m.len(), "gradient length mismatch");
-        self.t += 1;
-        let AdamConfig { lr, beta1, beta2, eps, weight_decay } = self.config;
-        let bc1 = 1.0 - beta1.powi(self.t as i32);
-        let bc2 = 1.0 - beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let g = grads[i];
-            self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g;
-            self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * g * g;
-            let m_hat = self.m[i] / bc1;
-            let v_hat = self.v[i] / bc2;
-            let mut update = lr * m_hat / (v_hat.sqrt() + eps);
-            if weight_decay > 0.0 {
-                update += lr * weight_decay * params[i];
-            }
-            params[i] -= update;
+        let rule = self.advance();
+        let moments = self.m.iter_mut().zip(self.v.iter_mut());
+        for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
+            rule.apply(p, g, m, v);
         }
     }
 
@@ -77,30 +71,51 @@ impl Adam {
     /// `grads` must be laid out as `touched.len() * cols`.
     pub fn step_rows(&mut self, params: &mut [f32], cols: usize, touched: &[usize], grads: &[f32]) {
         assert_eq!(grads.len(), touched.len() * cols, "sparse gradient layout mismatch");
-        self.t += 1;
-        let AdamConfig { lr, beta1, beta2, eps, weight_decay } = self.config;
-        let bc1 = 1.0 - beta1.powi(self.t as i32);
-        let bc2 = 1.0 - beta2.powi(self.t as i32);
+        let rule = self.advance();
         for (gi, &row) in touched.iter().enumerate() {
             for c in 0..cols {
                 let i = row * cols + c;
-                let g = grads[gi * cols + c];
-                self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g;
-                self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * g * g;
-                let m_hat = self.m[i] / bc1;
-                let v_hat = self.v[i] / bc2;
-                let mut update = lr * m_hat / (v_hat.sqrt() + eps);
-                if weight_decay > 0.0 {
-                    update += lr * weight_decay * params[i];
-                }
-                params[i] -= update;
+                rule.apply(&mut params[i], grads[gi * cols + c], &mut self.m[i], &mut self.v[i]);
             }
         }
+    }
+
+    /// Counts one step and returns its update rule.
+    fn advance(&mut self) -> Rule {
+        self.t += 1;
+        let config = self.config;
+        let bc1 = 1.0 - config.beta1.powi(self.t as i32);
+        let bc2 = 1.0 - config.beta2.powi(self.t as i32);
+        Rule { config, bc1, bc2 }
     }
 
     /// The number of steps taken so far.
     pub fn steps(&self) -> u64 {
         self.t
+    }
+}
+
+/// One step's update: the hyper-parameters and the bias corrections.
+struct Rule {
+    config: AdamConfig,
+    bc1: f32,
+    bc2: f32,
+}
+
+impl Rule {
+    /// Updates one parameter `p` with gradient `g` and moments `m`, `v`.
+    #[inline(always)]
+    fn apply(&self, p: &mut f32, g: f32, m: &mut f32, v: &mut f32) {
+        let AdamConfig { lr, beta1, beta2, eps, weight_decay } = self.config;
+        *m = beta1 * *m + (1.0 - beta1) * g;
+        *v = beta2 * *v + (1.0 - beta2) * g * g;
+        let m_hat = *m / self.bc1;
+        let v_hat = *v / self.bc2;
+        let mut update = lr * m_hat / (v_hat.sqrt() + eps);
+        if weight_decay > 0.0 {
+            update += lr * weight_decay * *p;
+        }
+        *p -= update;
     }
 }
 

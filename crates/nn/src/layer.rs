@@ -4,7 +4,8 @@ use rand::rngs::StdRng;
 
 use crate::adam::{Adam, AdamConfig};
 use crate::init::Init;
-use crate::matrix::{gemm_rows, Matrix};
+use crate::matrix::{gemm_into, gemm_rows, prefix_mut, transpose_into, Matrix};
+use crate::tape::Scratch;
 
 /// Elementwise activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -60,15 +61,6 @@ pub struct Dense {
     opt_b: Adam,
 }
 
-/// Per-batch cache needed to backpropagate through a [`Dense`] layer.
-#[derive(Debug, Clone)]
-pub struct DenseCache {
-    /// Layer input (batch x in).
-    pub input: Matrix,
-    /// Post-activation output (batch x out).
-    pub output: Matrix,
-}
-
 impl Dense {
     /// Creates a layer with `input_dim -> output_dim` and the activation's
     /// default initializer.
@@ -104,12 +96,6 @@ impl Dense {
         self.activation
     }
 
-    /// Forward pass returning the output and the cache for backward.
-    pub fn forward(&self, input: &Matrix) -> (Matrix, DenseCache) {
-        let out = self.infer(input);
-        (out.clone(), DenseCache { input: input.clone(), output: out })
-    }
-
     /// Forward pass without caching (inference), with the bias and
     /// activation fused into the kernel's store.
     pub fn infer(&self, input: &Matrix) -> Matrix {
@@ -121,50 +107,81 @@ impl Dense {
     /// shrinks. Returns that prefix. Bit-identical to [`Dense::infer`].
     pub(crate) fn infer_rows<'o>(&self, input: &[f32], out: &'o mut Vec<f32>) -> &'o [f32] {
         let len = input.len() / self.input_dim() * self.output_dim();
-        if out.len() < len {
-            out.resize(len, 0.0);
-        }
-        let out = &mut out[..len];
+        let out = prefix_mut(out, len);
         gemm_rows(input, &self.weights, &self.bias, self.activation, out);
         out
     }
 
-    /// Backward pass: consumes `grad_output` (dL/dy), updates parameters with
-    /// Adam, and returns dL/dx for the upstream layer.
+    /// The training forward of the row-major `input` rows into `out`, one
+    /// row per input row, split over the pool as [`Dense::infer`] is and
+    /// bit-identical to it.
+    pub(crate) fn forward_into(&self, input: &[f32], out: &mut [f32]) {
+        let (k, n) = (self.input_dim(), self.output_dim());
+        gemm_into(input, k, self.weights.data(), n, &self.bias, self.activation, out);
+    }
+
+    /// Backward pass over one batch (see [`Dense::gradients`]), then one
+    /// Adam step on the weights and the bias.
+    pub(crate) fn backward(
+        &mut self,
+        input: &[f32],
+        output: &[f32],
+        grad: &mut [f32],
+        grad_input: Option<&mut [f32]>,
+        scratch: &mut Scratch,
+    ) {
+        self.gradients(input, output, grad, grad_input, scratch);
+        let (k, n) = (self.input_dim(), self.output_dim());
+        self.opt_w.step(self.weights.data_mut(), &scratch.grad_w[..k * n]);
+        self.opt_b.step(&mut self.bias, &scratch.grad_b[..n]);
+    }
+
+    /// The chain rule through the layer for the row-major `input` rows and
+    /// their post-activation `output`, without touching the parameters.
+    /// `grad` holds dL/dy on entry and dL/dz (masked in place by the
+    /// activation's derivative) on return; dL/dW and dL/db go into the
+    /// leading values of `scratch.grad_w` and `scratch.grad_b`, and dL/dx
+    /// into `grad_input` when one is given. Each product is the one
+    /// `Matrix::t_matmul` and `Matrix::matmul_t` make, on a transposed
+    /// operand built in `scratch`.
     ///
     /// Gradients are averaged over the batch by the caller's loss gradient;
     /// this method just applies the chain rule.
-    pub fn backward(&mut self, cache: &DenseCache, grad_output: &Matrix) -> Matrix {
-        assert_eq!(grad_output.rows(), cache.output.rows(), "batch mismatch in backward");
-        assert_eq!(grad_output.cols(), cache.output.cols(), "width mismatch in backward");
-        // dL/dz = dL/dy * act'(z), using post-activation values.
-        let mut grad_z = grad_output.clone();
-        let act = self.activation;
-        grad_z.zip_inplace(&cache.output, |g, a| g * act.derivative_from_output(a));
-
-        // dL/dW = x^T dL/dz ; dL/db = column sums of dL/dz ; dL/dx = dL/dz W^T.
-        let grad_w = cache.input.t_matmul(&grad_z);
-        let grad_b = grad_z.column_sums();
-        let grad_input = grad_z.matmul_t(&self.weights);
-
-        self.opt_w.step(self.weights.data_mut(), grad_w.data());
-        self.opt_b.step(&mut self.bias, &grad_b);
-        grad_input
-    }
-
-    /// Gradients only (no parameter update) — used by gradient-check tests.
-    pub fn backward_no_update(
+    ///
+    /// # Panics
+    /// Panics if the slices do not hold the same number of rows.
+    pub(crate) fn gradients(
         &self,
-        cache: &DenseCache,
-        grad_output: &Matrix,
-    ) -> (Matrix, Vec<f32>, Matrix) {
-        let mut grad_z = grad_output.clone();
+        input: &[f32],
+        output: &[f32],
+        grad: &mut [f32],
+        grad_input: Option<&mut [f32]>,
+        scratch: &mut Scratch,
+    ) {
+        let (k, n) = (self.input_dim(), self.output_dim());
+        let rows = output.len() / n;
+        assert_eq!(grad.len(), output.len(), "gradient shape mismatch in backward");
+        assert_eq!(input.len(), rows * k, "batch mismatch in backward");
+        // dL/dz = dL/dy * act'(z), from the post-activation values, and
+        // dL/db = the column sums of dL/dz, summed over rows in order, in
+        // one pass.
         let act = self.activation;
-        grad_z.zip_inplace(&cache.output, |g, a| g * act.derivative_from_output(a));
-        let grad_w = cache.input.t_matmul(&grad_z);
-        let grad_b = grad_z.column_sums();
-        let grad_input = grad_z.matmul_t(&self.weights);
-        (grad_w, grad_b, grad_input)
+        let grad_b = prefix_mut(&mut scratch.grad_b, n);
+        grad_b.fill(0.0);
+        for (g_row, a_row) in grad.chunks_exact_mut(n).zip(output.chunks_exact(n)) {
+            for ((g, &a), s) in g_row.iter_mut().zip(a_row).zip(grad_b.iter_mut()) {
+                *g *= act.derivative_from_output(a);
+                *s += *g;
+            }
+        }
+        // dL/dW = x^T dL/dz ; dL/dx = dL/dz W^T.
+        let input_t = transpose_into(input, k, &mut scratch.transposed);
+        let grad_w = prefix_mut(&mut scratch.grad_w, k * n);
+        gemm_into(input_t, rows, grad, n, &[], Activation::Identity, grad_w);
+        if let Some(grad_input) = grad_input {
+            let weights_t = transpose_into(self.weights.data(), n, &mut scratch.transposed);
+            gemm_into(grad, n, weights_t, k, &[], Activation::Identity, grad_input);
+        }
     }
 
     /// Immutable view of the weights (tests, serialization).
@@ -198,10 +215,12 @@ mod tests {
     fn dense_forward_shapes() {
         let mut rng = StdRng::seed_from_u64(3);
         let layer = Dense::new(4, 2, Activation::Relu, AdamConfig::default(), &mut rng);
-        let x = Matrix::zeros(5, 4);
-        let (y, cache) = layer.forward(&x);
+        let x = Matrix::from_vec(5, 4, (0..20).map(|i| (i as f32 * 0.37).sin()).collect());
+        let y = layer.infer(&x);
         assert_eq!((y.rows(), y.cols()), (5, 2));
-        assert_eq!(cache.input.rows(), 5);
+        let mut out = vec![f32::NAN; 10];
+        layer.forward_into(x.data(), &mut out);
+        assert_eq!(out, y.data(), "the training forward differs from inference");
     }
 
     /// Finite-difference gradient check for a dense layer with relu. The
@@ -221,9 +240,13 @@ mod tests {
         // Loss = sum of outputs, so dL/dy = 1 everywhere.
         let loss_of = |layer: &Dense, x: &Matrix| -> f32 { layer.infer(x).data().iter().sum() };
 
-        let (_, cache) = layer.forward(&x);
-        let grad_out = Matrix::from_vec(2, 2, vec![1.0; 4]);
-        let (grad_w, grad_b, grad_x) = layer.backward_no_update(&cache, &grad_out);
+        let y = layer.infer(&x);
+        let mut grad_z = vec![1.0; 4];
+        let mut grad_x = Matrix::zeros(2, 3);
+        let mut scratch = Scratch::default();
+        layer.gradients(x.data(), y.data(), &mut grad_z, Some(grad_x.data_mut()), &mut scratch);
+        let grad_w = Matrix::from_vec(3, 2, scratch.grad_w[..6].to_vec());
+        let grad_b = &scratch.grad_b[..2];
 
         let eps = 1e-3f32;
         // Check a few weight entries.
@@ -275,12 +298,13 @@ mod tests {
         let x = Matrix::column_vector(&[1.0, 2.0, 3.0, -1.0]);
         let y = Matrix::column_vector(&[2.0, 4.0, 6.0, -2.0]);
         let mut last = f32::INFINITY;
+        let mut scratch = Scratch::default();
         for _ in 0..300 {
-            let (out, cache) = layer.forward(&x);
+            let out = layer.infer(&x);
             let n = out.rows() as f32;
             let mut grad = out.clone();
             grad.zip_inplace(&y, |o, t| 2.0 * (o - t) / n);
-            layer.backward(&cache, &grad);
+            layer.backward(x.data(), out.data(), grad.data_mut(), None, &mut scratch);
             let mut diff = out;
             diff.zip_inplace(&y, |o, t| (o - t) * (o - t));
             last = diff.data().iter().sum::<f32>() / n;

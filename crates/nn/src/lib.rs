@@ -39,14 +39,16 @@ mod matrix;
 mod mlp;
 mod pooling;
 mod softmax;
+mod tape;
 
 pub use adam::{Adam, AdamConfig};
 pub use embedding::Embedding;
 pub use init::Init;
-pub use layer::{Activation, Dense, DenseCache};
+pub use layer::{Activation, Dense};
 pub use loss::{Huber, LogQError, Loss, Mse, Pinball};
 pub use masked::{made_masks, MaskedCache, MaskedDense};
 pub use matrix::{matmul_kernel_level, Matrix, TASK_FLOPS};
-pub use mlp::{Mlp, MlpCache, MlpConfig};
-pub use pooling::{segment_mean_backward, segment_mean_into};
+pub use mlp::{Mlp, MlpConfig};
+pub use pooling::{segment_mean_backward_into, segment_mean_into};
 pub use softmax::{class_probability, softmax_cross_entropy, softmax_rows};
+pub use tape::Tape;

@@ -22,12 +22,16 @@ pub trait Loss {
         sum / predictions.len() as f32
     }
 
-    /// Batch gradient, already divided by the batch size so downstream layers
-    /// see the gradient of the *mean* loss.
-    fn mean_grad(&self, predictions: &[f32], targets: &[f32]) -> Vec<f32> {
+    /// Batch gradient into `out`, one value per prediction, already divided
+    /// by the batch size so downstream layers see the gradient of the
+    /// *mean* loss.
+    fn mean_grad_into(&self, predictions: &[f32], targets: &[f32], out: &mut [f32]) {
         assert_eq!(predictions.len(), targets.len(), "batch length mismatch");
+        assert_eq!(out.len(), predictions.len(), "gradient length mismatch");
         let n = predictions.len().max(1) as f32;
-        predictions.iter().zip(targets).map(|(&p, &t)| self.grad(p, t) / n).collect()
+        for ((o, &p), &t) in out.iter_mut().zip(predictions).zip(targets) {
+            *o = self.grad(p, t) / n;
+        }
     }
 }
 
@@ -209,7 +213,8 @@ mod tests {
         let preds = [1.0, 2.0];
         let targets = [0.0, 0.0];
         assert!((Mse.mean_loss(&preds, &targets) - 2.5).abs() < 1e-6);
-        let g = Mse.mean_grad(&preds, &targets);
+        let mut g = [0.0; 2];
+        Mse.mean_grad_into(&preds, &targets, &mut g);
         assert!((g[0] - 1.0).abs() < 1e-6);
         assert!((g[1] - 2.0).abs() < 1e-6);
     }

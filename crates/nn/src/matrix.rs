@@ -2,16 +2,23 @@
 //!
 //! This is deliberately a small, predictable kernel: everything the learned
 //! estimators need (mat-mul, transposed mat-mul, row slicing, elementwise
-//! combinators) and nothing else. The three mat-mul entry points share one
-//! register-blocked micro-kernel: it keeps a block of output rows × a
-//! 16-wide column strip in registers over the whole reduction. Its one
-//! source is compiled for AVX-512, AVX2 and the build target's baseline; the
-//! level is picked once per process from the host's features, and blocks of
-//! output rows are dispatched in parallel on `ce-parallel`. `t_matmul` and
-//! `matmul_t` transpose their strided operand once and then run the same
-//! kernel. A dense layer's bias and activation are fused into the kernel's
-//! store: each register block's rows get them right after they are written,
-//! while still in cache, instead of in two passes over the whole output.
+//! combinators) and nothing else. Every product runs one register-blocked
+//! micro-kernel: it keeps a block of output rows × a 16-wide column strip
+//! in registers over the whole reduction. Its one source is compiled for
+//! AVX-512, AVX2 and the build target's baseline; the level is picked once
+//! per process from the host's features, and blocks of output rows are
+//! dispatched in parallel on `ce-parallel`. `t_matmul` and `matmul_t`
+//! transpose their strided operand once and then run the same kernel. A
+//! dense layer's bias and activation are fused into the kernel's store:
+//! each register block's rows get them right after they are written, while
+//! still in cache, instead of in two passes over the whole output.
+//!
+//! Training runs the same kernel into caller-owned slices: [`gemm_into`]
+//! writes a product into a slice of a [`Tape`](crate::Tape) and
+//! [`transpose_into`] builds a transposed operand in the tape's buffer, so
+//! a training step makes the products `t_matmul` and `matmul_t` make,
+//! split over the pool the same way, without allocating their operands or
+//! outputs.
 //!
 //! # Determinism
 //!
@@ -48,7 +55,9 @@ pub const TASK_FLOPS: usize = 1 << 18;
 /// run serially by [`gemm_rows`] are not timed: an MSCN forward runs three
 /// or four of them per task, and per-task clock reads and gauge stores
 /// from every worker would cost the serving path more than the gauge is
-/// worth; training and the pool-dispatched products keep it current.
+/// worth. Every product that goes through [`gemm_into`] is timed: the
+/// `Matrix` products and every forward and backward product of a training
+/// step, so training keeps the gauge current.
 const MATMUL_GAUGE_MIN_FLOPS: f64 = 32_768.0;
 
 /// Output columns in one register strip: one AVX-512 vector, two AVX2
@@ -344,6 +353,105 @@ pub(crate) fn gemm_rows(
     gemm_at(Level::detected(), input, k, &weights.data, n, bias, act, out);
 }
 
+/// `out = act(a · b + bias)` at `level` for row-major `a` (`out.len() / n`
+/// rows × `k`) and `b` (`k × n`), with the rows of `out` split over the
+/// pool in tasks of [`rows_per_task`] rows. Every element of `out` is
+/// overwritten.
+#[allow(clippy::too_many_arguments)]
+fn gemm_par_at(
+    level: Level,
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    bias: &[f32],
+    act: Activation,
+    out: &mut [f32],
+) {
+    if out.is_empty() {
+        return;
+    }
+    assert_eq!(a.len(), out.len() / n * k, "left operand holds {} values", a.len());
+    assert_eq!(b.len(), k * n, "right operand holds {} values for {k}x{n}", b.len());
+    let block = rows_per_task(k * n);
+    par_chunks_mut(out, block * n, |blk, out_block| {
+        let a = &a[blk * block * k..][..out_block.len() / n * k];
+        gemm_at(level, a, k, b, n, bias, act, out_block);
+    });
+}
+
+/// `out = act(a · b + bias)` for row-major `a` (`out.len() / n` rows × `k`)
+/// and `b` (`k × n`) at the host's kernel level, split over the pool as
+/// [`Matrix::matmul`] is, and timed into the `nn.matmul_gflops` gauge while
+/// telemetry is enabled (see [`MATMUL_GAUGE_MIN_FLOPS`]). An empty `bias`
+/// adds nothing. Every element of `out` is overwritten.
+///
+/// # Panics
+/// Panics if the operands do not hold `out`'s rows × `k` and `k × n` values,
+/// or on a bias of the wrong length.
+pub(crate) fn gemm_into(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    bias: &[f32],
+    act: Activation,
+    out: &mut [f32],
+) {
+    let flops = 2.0 * out.len() as f64 * k as f64;
+    let timed = ce_telemetry::enabled() && flops >= MATMUL_GAUGE_MIN_FLOPS;
+    let start = timed.then(std::time::Instant::now);
+    gemm_par_at(Level::detected(), a, k, b, n, bias, act, out);
+    if let Some(start) = start {
+        let secs = start.elapsed().as_secs_f64();
+        if secs > 0.0 {
+            gflops_gauge().set(flops / secs / 1e9);
+        }
+    }
+}
+
+/// A prefix of `len` values of `buf`, which grows (zero-filled) when it is
+/// too short and never shrinks, so a buffer kept across calls stops
+/// allocating once it fits the largest request.
+pub(crate) fn prefix_mut(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// Rows of the source [`transpose_into`] reads at once: each column of
+/// such a block becomes one contiguous run of the output.
+const TRANSPOSE_ROWS: usize = 8;
+
+/// The transpose of the row-major `src` (`src.len() / cols` rows × `cols`)
+/// into a prefix of `out` (see [`prefix_mut`]), which it returns.
+pub(crate) fn transpose_into<'o>(src: &[f32], cols: usize, out: &'o mut Vec<f32>) -> &'o [f32] {
+    let rows = src.len().checked_div(cols).unwrap_or(0);
+    let out = prefix_mut(out, rows * cols);
+    if out.is_empty() {
+        return out;
+    }
+    let mut blocks = src.chunks_exact(TRANSPOSE_ROWS * cols);
+    for (b, block) in blocks.by_ref().enumerate() {
+        let block: [&[f32]; TRANSPOSE_ROWS] =
+            std::array::from_fn(|i| &block[i * cols..(i + 1) * cols]);
+        let r0 = b * TRANSPOSE_ROWS;
+        for (c, out_row) in out.chunks_exact_mut(rows).enumerate() {
+            for (o, row) in out_row[r0..r0 + TRANSPOSE_ROWS].iter_mut().zip(&block) {
+                *o = row[c];
+            }
+        }
+    }
+    let r0 = rows - blocks.remainder().len() / cols;
+    for (r, row) in blocks.remainder().chunks_exact(cols).enumerate() {
+        for (out_row, &v) in out.chunks_exact_mut(rows).zip(row) {
+            out_row[r0 + r] = v;
+        }
+    }
+    out
+}
+
 /// A dense row-major matrix of `f32` values.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Matrix {
@@ -474,37 +582,28 @@ impl Matrix {
     /// # Panics
     /// Panics on inner-dimension mismatch or a bias of the wrong length.
     pub(crate) fn matmul_bias_act(&self, other: &Matrix, bias: &[f32], act: Activation) -> Matrix {
-        let flops = 2.0 * self.rows as f64 * self.cols as f64 * other.cols as f64;
-        let timed = ce_telemetry::enabled() && flops >= MATMUL_GAUGE_MIN_FLOPS;
-        let start = timed.then(std::time::Instant::now);
-        let out = self.matmul_at(Level::detected(), other, bias, act);
-        if let Some(start) = start {
-            let secs = start.elapsed().as_secs_f64();
-            if secs > 0.0 {
-                gflops_gauge().set(flops / secs / 1e9);
-            }
-        }
+        self.check_matmul(other);
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        gemm_into(&self.data, self.cols, &other.data, other.cols, bias, act, &mut out.data);
         out
     }
 
-    /// `act(self * other + bias)` at kernel `level`. The output comes zeroed
-    /// from the allocator and the kernel overwrites every element.
-    fn matmul_at(&self, level: Level, other: &Matrix, bias: &[f32], act: Activation) -> Matrix {
+    /// Panics unless `self * other` is defined.
+    fn check_matmul(&self, other: &Matrix) {
         assert_eq!(
             self.cols, other.rows,
             "matmul dimension mismatch: {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (k, n) = (self.cols, other.cols);
-        let mut out = Matrix::zeros(self.rows, n);
-        if out.data.is_empty() {
-            return out;
-        }
-        let block = rows_per_task(k * n);
-        par_chunks_mut(&mut out.data, block * n, |blk, out_block| {
-            let a = &self.data[blk * block * k..][..out_block.len() / n * k];
-            gemm_at(level, a, k, &other.data, n, bias, act, out_block);
-        });
+    }
+
+    /// `act(self * other + bias)` at kernel `level`, untimed. The output
+    /// comes zeroed from the allocator and the kernel overwrites every
+    /// element.
+    fn matmul_at(&self, level: Level, other: &Matrix, bias: &[f32], act: Activation) -> Matrix {
+        self.check_matmul(other);
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        gemm_par_at(level, &self.data, self.cols, &other.data, other.cols, bias, act, &mut out.data);
         out
     }
 
@@ -548,13 +647,9 @@ impl Matrix {
 
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-        out
+        let mut data = Vec::new();
+        transpose_into(&self.data, self.cols, &mut data);
+        Matrix { rows: self.cols, cols: self.rows, data }
     }
 
     /// Elementwise in-place map.

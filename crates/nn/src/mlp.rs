@@ -5,9 +5,10 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::adam::AdamConfig;
-use crate::layer::{Activation, Dense, DenseCache};
+use crate::layer::{Activation, Dense};
 use crate::loss::Loss;
 use crate::matrix::Matrix;
+use crate::tape::Tape;
 
 /// Architecture + optimizer settings for an [`Mlp`].
 #[derive(Debug, Clone)]
@@ -39,12 +40,6 @@ pub struct Mlp {
     layers: Vec<Dense>,
 }
 
-/// Forward caches for every layer of one batch.
-#[derive(Debug)]
-pub struct MlpCache {
-    caches: Vec<DenseCache>,
-}
-
 impl Mlp {
     /// Builds a network `input_dim -> hidden.. -> output_dim`.
     pub fn new(input_dim: usize, config: &MlpConfig, rng: &mut StdRng) -> Self {
@@ -74,16 +69,14 @@ impl Mlp {
         self.layers.last().expect("mlp has at least one layer").output_dim()
     }
 
-    /// Forward pass with caches for training.
-    pub fn forward(&self, input: &Matrix) -> (Matrix, MlpCache) {
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let mut x = input.clone();
-        for layer in &self.layers {
-            let (y, cache) = layer.forward(&x);
-            caches.push(cache);
-            x = y;
-        }
-        (x, MlpCache { caches })
+    /// Training forward of the batch in `tape`'s input: every layer's
+    /// output is written onto the tape, where it stays as the backward's
+    /// cache. Returns the output rows. Bit-identical to [`Mlp::infer`].
+    ///
+    /// # Panics
+    /// Panics if the input is not a whole number of rows.
+    pub fn forward<'t>(&self, tape: &'t mut Tape) -> &'t [f32] {
+        tape.forward(&self.layers)
     }
 
     /// Inference-only forward pass. Each product splits its output rows
@@ -138,40 +131,39 @@ impl Mlp {
         self.predict_scalar(&Matrix::row_vector(features))[0]
     }
 
-    /// Backpropagates `grad_output` through the network, updating every layer
-    /// with Adam, and returns the gradient w.r.t. the network input.
+    /// Backpropagates the gradient the caller wrote into
+    /// [`Tape::output_and_grad_mut`] after [`Mlp::forward`] on the same
+    /// tape, updating every layer with Adam.
     ///
-    /// Returning the input gradient is what lets composite models (MSCN's
-    /// pooled predicate module, Naru's embeddings) chain through this MLP.
-    pub fn backward(&mut self, cache: &MlpCache, grad_output: &Matrix) -> Matrix {
-        let mut grad = grad_output.clone();
-        for (layer, layer_cache) in
-            self.layers.iter_mut().zip(cache.caches.iter()).rev()
-        {
-            grad = layer.backward(layer_cache, &grad);
-        }
-        grad
+    /// With `input_grad`, also returns the gradient with respect to the
+    /// network input, which is what lets composite models (Naru's
+    /// embeddings) chain through this MLP. Without it, the first layer's
+    /// input gradient, whose product is as large as the first layer's
+    /// forward, is not computed, and the result is empty.
+    pub fn backward<'t>(&mut self, tape: &'t mut Tape, input_grad: bool) -> &'t [f32] {
+        tape.backward(&mut self.layers, input_grad)
     }
 
-    /// One training step on a batch: forward, loss, backward, Adam update.
-    /// Returns the mean loss before the update.
+    /// One training step on the batch in `tape`'s input: forward, loss,
+    /// backward, Adam update. Returns the mean loss before the update.
     ///
     /// # Panics
-    /// Panics unless the network output width is 1.
-    pub fn train_batch<L: Loss>(&mut self, x: &Matrix, y: &[f32], loss: &L) -> f32 {
+    /// Panics unless the network output width is 1 and `y` holds one target
+    /// per input row.
+    pub fn train_batch<L: Loss>(&mut self, tape: &mut Tape, y: &[f32], loss: &L) -> f32 {
         assert_eq!(self.output_dim(), 1, "train_batch expects scalar regression");
-        assert_eq!(x.rows(), y.len(), "feature/target count mismatch");
-        let (out, cache) = self.forward(x);
-        let preds = out.data();
+        self.forward(tape);
+        let (preds, grad) = tape.output_and_grad_mut();
+        assert_eq!(preds.len(), y.len(), "feature/target count mismatch");
         let value = loss.mean_loss(preds, y);
-        let grad = loss.mean_grad(preds, y);
-        let grad_m = Matrix::column_vector(&grad);
-        self.backward(&cache, &grad_m);
+        loss.mean_grad_into(preds, y, grad);
+        self.backward(tape, false);
         value
     }
 
-    /// Full training loop: `epochs` passes of shuffled minibatches.
-    /// Returns the mean training loss of each epoch.
+    /// Full training loop: `epochs` passes of shuffled minibatches, through
+    /// one [`Tape`] made for the fit. Returns the mean training loss of each
+    /// epoch.
     pub fn fit<L: Loss>(
         &mut self,
         x: &Matrix,
@@ -187,6 +179,8 @@ impl Mlp {
         let mut order: Vec<usize> = (0..n).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut history = Vec::with_capacity(epochs);
+        let mut tape = Tape::new();
+        let mut yb = Vec::new();
         let epoch_hist =
             ce_telemetry::enabled().then(|| ce_telemetry::histogram("nn.epoch_ns"));
         for _ in 0..epochs {
@@ -195,11 +189,14 @@ impl Mlp {
             let mut epoch_loss = 0.0;
             let mut batches = 0usize;
             for chunk in order.chunks(batch_size) {
-                let rows: Vec<Vec<f32>> =
-                    chunk.iter().map(|&i| x.row(i).to_vec()).collect();
-                let xb = Matrix::from_rows(&rows);
-                let yb: Vec<f32> = chunk.iter().map(|&i| y[i]).collect();
-                epoch_loss += self.train_batch(&xb, &yb, loss);
+                let xb = tape.input_mut();
+                xb.clear();
+                for &i in chunk {
+                    xb.extend_from_slice(x.row(i));
+                }
+                yb.clear();
+                yb.extend(chunk.iter().map(|&i| y[i]));
+                epoch_loss += self.train_batch(&mut tape, &yb, loss);
                 batches += 1;
             }
             if let (Some(hist), Some(start)) = (&epoch_hist, start) {
@@ -322,7 +319,8 @@ mod tests {
     fn train_batch_rejects_mismatched_targets() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut mlp = Mlp::new(2, &MlpConfig::default(), &mut rng);
-        let x = Matrix::zeros(3, 2);
-        mlp.train_batch(&x, &[1.0], &Mse);
+        let mut tape = Tape::new();
+        tape.input_mut().extend_from_slice(Matrix::zeros(3, 2).data());
+        mlp.train_batch(&mut tape, &[1.0], &Mse);
     }
 }

@@ -5,8 +5,6 @@
 //! matrix plus segment lengths; pooling reduces it to `num_segments x dim`,
 //! and the backward pass redistributes the pooled gradient `1/len`-wise.
 
-use crate::matrix::Matrix;
-
 /// Mean-pools contiguous row segments of the row-major `items` (`dim`
 /// columns) into the leading `dim` columns of `out`, one row per segment.
 /// `out` holds `segments.len()` rows of equal width, at least `dim`; the
@@ -48,43 +46,61 @@ pub fn segment_mean_into(items: &[f32], dim: usize, segments: &[usize], out: &mu
     }
 }
 
-/// Backward of [`segment_mean_into`]: expands `grad_pooled` (`num_segments x dim`)
-/// back to item rows, scaling each segment's gradient by `1/len`.
+/// Backward of [`segment_mean_into`]: writes each item row's gradient, the
+/// leading `dim` columns of its segment's row of `grad_pooled` scaled by
+/// `1/len`, into the row-major `out` (`dim` columns). The rows of
+/// `grad_pooled` are equally wide and at least `dim` wide, like the rows
+/// `segment_mean_into` pools into, so a caller can pass the gradient of
+/// those wider rows as it is.
 ///
 /// # Panics
-/// Panics if `grad_pooled` has a row count different from `segments.len()`.
-pub fn segment_mean_backward(grad_pooled: &Matrix, segments: &[usize]) -> Matrix {
-    assert_eq!(
-        grad_pooled.rows(),
-        segments.len(),
-        "pooled gradient rows must match segment count"
-    );
+/// Panics if the lengths do not sum to the number of rows of `out`, or if
+/// `grad_pooled` is not `segments.len()` rows of at least `dim` columns.
+pub fn segment_mean_backward_into(
+    grad_pooled: &[f32],
+    dim: usize,
+    segments: &[usize],
+    out: &mut [f32],
+) {
     let total: usize = segments.iter().sum();
-    let mut out = Matrix::zeros(total, grad_pooled.cols());
-    let mut offset = 0;
-    for (s, &len) in segments.iter().enumerate() {
+    assert_eq!(total * dim, out.len(), "segment lengths must cover all item rows");
+    if segments.is_empty() {
+        return;
+    }
+    let width = grad_pooled.len() / segments.len();
+    assert!(
+        width >= dim && width * segments.len() == grad_pooled.len(),
+        "pooled gradient is not one row per segment at least as wide as the items"
+    );
+    let mut rows = out.chunks_exact_mut(dim.max(1));
+    for (&len, grad) in segments.iter().zip(grad_pooled.chunks_exact(width.max(1))) {
         if len == 0 {
             continue;
         }
         let inv = 1.0 / len as f32;
-        for r in offset..offset + len {
-            let dst = out.row_mut(r);
-            for (d, &g) in dst.iter_mut().zip(grad_pooled.row(s)) {
+        for dst in rows.by_ref().take(len) {
+            for (d, &g) in dst.iter_mut().zip(&grad[..dim]) {
                 *d = g * inv;
             }
         }
-        offset += len;
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
 
     fn segment_mean(items: &Matrix, segments: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(segments.len(), items.cols());
         segment_mean_into(items.data(), items.cols(), segments, out.data_mut());
+        out
+    }
+
+    fn segment_mean_backward(grad_pooled: &Matrix, segments: &[usize]) -> Matrix {
+        let total = segments.iter().sum();
+        let mut out = Matrix::zeros(total, grad_pooled.cols());
+        segment_mean_backward_into(grad_pooled.data(), out.cols(), segments, out.data_mut());
         out
     }
 
@@ -118,6 +134,16 @@ mod tests {
         for r in 2..5 {
             assert_eq!(out.row(r), &[3.0]);
         }
+    }
+
+    #[test]
+    fn backward_reads_the_leading_columns_of_wider_rows() {
+        // Rows of three: two pooled columns, then a context column whose
+        // gradient belongs to no item.
+        let grad = [4.0, 8.0, 99.0, 1.0, 3.0, 99.0, 5.0, 6.0, 99.0];
+        let mut out = [f32::NAN; 6];
+        segment_mean_backward_into(&grad, 2, &[2, 0, 1], &mut out);
+        assert_eq!(out, [2.0, 4.0, 2.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]

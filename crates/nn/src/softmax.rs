@@ -27,8 +27,8 @@ pub fn softmax_rows(logits: &Matrix) -> Matrix {
 /// Mean negative log-likelihood of `targets` under row-wise softmax(`logits`).
 ///
 /// Returns `(mean_nll, grad_logits)` where the gradient is already divided by
-/// the batch size — feeding it straight into `Mlp::backward` trains the head
-/// on the mean NLL.
+/// the batch size — written as the output gradient of the tape that
+/// `Mlp::backward` then runs, it trains the head on the mean NLL.
 pub fn softmax_cross_entropy(logits: &Matrix, targets: &[usize]) -> (f32, Matrix) {
     assert_eq!(logits.rows(), targets.len(), "target count must match batch");
     let probs = softmax_rows(logits);

@@ -185,7 +185,6 @@ fn cluster_config() -> ClusterRouterConfig {
             read_timeout: Duration::from_millis(150),
             fail_threshold: 3,
             recover_threshold: 2,
-            ..HealthConfig::default()
         },
     }
 }

@@ -113,9 +113,10 @@ pub fn ext(scale: &Scale) -> Vec<ExperimentRecord> {
     rec.extra("asym_delta_low", asym.delta_low());
     rec.extra("asym_delta_high", asym.delta_high());
 
-    // Per-class coverage under Mondrian — the strengthened guarantee.
-    let mut per_class: std::collections::HashMap<u64, (usize, usize)> =
-        std::collections::HashMap::new();
+    // Per-class coverage under Mondrian — the strengthened guarantee,
+    // written in class order so the file repeats byte for byte.
+    let mut per_class: std::collections::BTreeMap<u64, (usize, usize)> =
+        std::collections::BTreeMap::new();
     for (f, &y) in bench.test.x.iter().zip(&bench.test.y) {
         let entry = per_class.entry(predicate_count(f)).or_insert((0, 0));
         entry.1 += 1;

@@ -75,17 +75,6 @@ pub enum CardEstError {
         /// The score that could not be located.
         score: f64,
     },
-    /// An estimator call (including its retries) exceeded its wall-clock
-    /// budget; the late result is discarded and the overrun is counted as a
-    /// breaker failure.
-    DeadlineExceeded {
-        /// Name of the estimator that overran.
-        estimator: String,
-        /// Observed wall-clock of the call, in microseconds.
-        elapsed_us: u64,
-        /// The configured budget, in microseconds.
-        budget_us: u64,
-    },
     /// A checkpoint file is structurally invalid (bad magic, truncated,
     /// checksum mismatch, or malformed payload); recovery must cold-start.
     CheckpointCorrupt(
@@ -134,13 +123,6 @@ impl fmt::Display for CardEstError {
             }
             CardEstError::ScoreNotFound { score } => {
                 write!(f, "score {score} not found in the calibration multiset")
-            }
-            CardEstError::DeadlineExceeded { estimator, elapsed_us, budget_us } => {
-                write!(
-                    f,
-                    "estimator `{estimator}` exceeded its deadline: \
-                     {elapsed_us}us elapsed vs {budget_us}us budget"
-                )
             }
             CardEstError::CheckpointCorrupt(what) => {
                 write!(f, "corrupt checkpoint: {what}")

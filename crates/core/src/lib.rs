@@ -85,7 +85,7 @@ pub use quantile::{
 };
 pub use regressor::{FitRegressor, Regressor};
 pub use resilient::{
-    BreakerConfig, BreakerSnapshot, BreakerState, CallGuardConfig, PiEstimator, ResilienceStats,
+    BreakerConfig, BreakerSnapshot, BreakerState, PiEstimator, ResilienceStats,
     ResilientService,
 };
 pub use score::{AbsoluteResidual, QErrorScore, RelativeErrorScore, ScoreFunction};

@@ -1,6 +1,6 @@
 //! Adapters gluing the substrates to the conformal core.
 
-use ce_conformal::{FitRegressor, Regressor};
+use ce_conformal::Regressor;
 use ce_gbdt::{Gbdt, GbdtConfig};
 use ce_storage::Table;
 
@@ -101,36 +101,6 @@ impl Regressor for AviModel {
     }
 }
 
-/// A [`FitRegressor`] decorator that pins the `ce-parallel` thread count for
-/// the duration of each `fit` call.
-///
-/// Resampling methods (Jackknife+, CV+) already parallelize *across* fold
-/// fits; letting each inner fit also fan out would oversubscribe cores. The
-/// pool serializes nested parallelism automatically, but this wrapper makes
-/// the intent explicit and lets callers cap a heavyweight trainer (e.g. an
-/// MSCN fit inside CV+) independently of the global setting. `threads = 0`
-/// inherits the ambient setting; results are bit-identical either way.
-#[derive(Debug, Clone)]
-pub struct ThreadLimited<F> {
-    trainer: F,
-    threads: usize,
-}
-
-impl<F: FitRegressor> ThreadLimited<F> {
-    /// Wraps `trainer` so every `fit` runs under `with_threads(threads, ..)`.
-    pub fn new(trainer: F, threads: usize) -> Self {
-        ThreadLimited { trainer, threads }
-    }
-}
-
-impl<F: FitRegressor> FitRegressor for ThreadLimited<F> {
-    type Model = F::Model;
-
-    fn fit(&self, x: &[Vec<f32>], y: &[f64], seed: u64) -> Self::Model {
-        ce_parallel::with_threads(self.threads, || self.trainer.fit(x, y, seed))
-    }
-}
-
 /// Difficulty via ensemble disagreement: the variance-derived spread of
 /// several models' predictions on the same query — the paper's alternative
 /// `U(X)` instantiation (ablation against the GBDT difficulty model).
@@ -220,23 +190,5 @@ mod tests {
     #[should_panic(expected = "at least 2 models")]
     fn ensemble_rejects_single_model() {
         EnsembleSpread::new(vec![|f: &[f32]| f[0] as f64], 1e-6);
-    }
-
-    #[test]
-    fn thread_limited_fit_matches_unlimited_bitwise() {
-        use ce_conformal::FitRegressor;
-        let x: Vec<Vec<f32>> = (0..80).map(|i| vec![i as f32, (i * 7 % 13) as f32]).collect();
-        let y: Vec<f64> = (0..80).map(|i| (i as f64).sin() * 5.0 + i as f64).collect();
-        let trainer = |x: &[Vec<f32>], y: &[f64], _seed: u64| {
-            fit_difficulty_model(x, y, &GbdtConfig::default())
-        };
-        let plain = trainer.fit(&x, &y, 0);
-        let capped = ThreadLimited::new(trainer, 1).fit(&x, &y, 0);
-        let wide = ThreadLimited::new(trainer, 4).fit(&x, &y, 0);
-        for f in &x {
-            let p = plain.predict(f);
-            assert_eq!(p.to_bits(), capped.predict(f).to_bits());
-            assert_eq!(p.to_bits(), wide.predict(f).to_bits());
-        }
     }
 }

@@ -37,7 +37,6 @@ mod spn;
 
 pub use adapters::{
     fit_difficulty_model, AviModel, EnsembleSpread, GbdtCardinality, GbdtModel,
-    ThreadLimited,
 };
 pub use featurize::{SingleTableFeaturizer, StarFeaturizer, BLOCK};
 pub use histogram::{ColumnHistogram, PostgresEstimator, TableStatistics};

@@ -34,10 +34,6 @@ pub struct LwNnConfig {
     pub seed: u64,
     /// Selectivity floor.
     pub sel_floor: f64,
-    /// Thread count pinned (via `ce_parallel::with_threads`) for the
-    /// duration of training; `0` inherits the ambient/global setting.
-    /// Results are bit-identical regardless — this only controls cores used.
-    pub threads: usize,
 }
 
 impl Default for LwNnConfig {
@@ -50,7 +46,6 @@ impl Default for LwNnConfig {
             loss: TrainLoss::LogMse,
             seed: 0,
             sel_floor: 1e-7,
-            threads: 0,
         }
     }
 }
@@ -110,17 +105,6 @@ impl LwNn {
     /// # Panics
     /// Panics on empty input or mismatched lengths.
     pub fn fit(
-        table: &Table,
-        features: &[Vec<f32>],
-        selectivities: &[f64],
-        config: &LwNnConfig,
-    ) -> Self {
-        ce_parallel::with_threads(config.threads, || {
-            Self::fit_impl(table, features, selectivities, config)
-        })
-    }
-
-    fn fit_impl(
         table: &Table,
         features: &[Vec<f32>],
         selectivities: &[f64],

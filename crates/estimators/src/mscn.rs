@@ -48,10 +48,6 @@ pub struct MscnConfig {
     pub seed: u64,
     /// Selectivity floor (1 tuple / N); also the prediction clamp.
     pub sel_floor: f64,
-    /// Thread count pinned (via `ce_parallel::with_threads`) for the
-    /// duration of training; `0` inherits the ambient/global setting.
-    /// Results are bit-identical regardless — this only controls cores used.
-    pub threads: usize,
 }
 
 impl Default for MscnConfig {
@@ -64,7 +60,6 @@ impl Default for MscnConfig {
             loss: TrainLoss::LogMse,
             seed: 0,
             sel_floor: 1e-7,
-            threads: 0,
         }
     }
 }
@@ -197,17 +192,6 @@ impl Mscn {
     /// Panics on empty input, mismatched lengths, or selectivities outside
     /// `[0, 1]`.
     pub fn fit(
-        layout: MscnLayout,
-        features: &[Vec<f32>],
-        selectivities: &[f64],
-        config: &MscnConfig,
-    ) -> Self {
-        ce_parallel::with_threads(config.threads, || {
-            Self::fit_impl(layout, features, selectivities, config)
-        })
-    }
-
-    fn fit_impl(
         layout: MscnLayout,
         features: &[Vec<f32>],
         selectivities: &[f64],

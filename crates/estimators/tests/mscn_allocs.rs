@@ -127,9 +127,11 @@ fn training_steps_allocate_nothing() {
     // latch on the caller, so at more threads the count grows with the
     // number of dispatches, not with anything training allocates.
     let fit_allocs = |epochs| {
-        let config = MscnConfig { epochs, threads: 1, ..Default::default() };
+        let config = MscnConfig { epochs, ..Default::default() };
         allocs_during(|| {
-            black_box(Mscn::fit(layout.clone(), &x, &y, &config));
+            ce_parallel::with_threads(1, || {
+                black_box(Mscn::fit(layout.clone(), &x, &y, &config));
+            });
         })
     };
     let two = fit_allocs(2);

@@ -62,8 +62,10 @@ fn star_workload() -> Workload {
 fn assert_mscn_pinned(workload: fn() -> Workload, loss: TrainLoss, want: u64) {
     let (layout, x, y) = workload();
     for threads in [1, 3] {
-        let config = MscnConfig { epochs: 4, loss, seed: 5, threads, ..Default::default() };
-        let got = fingerprint(&Mscn::fit(layout.clone(), &x, &y, &config));
+        let config = MscnConfig { epochs: 4, loss, seed: 5, ..Default::default() };
+        let model =
+            ce_parallel::with_threads(threads, || Mscn::fit(layout.clone(), &x, &y, &config));
+        let got = fingerprint(&model);
         assert_eq!(got, want, "{loss:?} at {threads} threads: {got:#018x}");
     }
 }

@@ -12,8 +12,8 @@
 //! and kernel level, because every floating-point reduction keeps a single
 //! accumulator in fixed index order, with no fused multiply-add — SIMD lanes
 //! and threads only redistribute independent output elements. Thread
-//! count is controlled globally via `ce_parallel::set_threads` / the
-//! `CE_PARALLEL_THREADS` env var, or scoped via `ce_parallel::with_threads`.
+//! count is set for the process by the `CE_PARALLEL_THREADS` env var, or
+//! scoped via `ce_parallel::with_threads`.
 //! See `DESIGN.md` ("Determinism contract") for the full argument.
 //!
 //! ```

@@ -72,7 +72,7 @@ pub struct ClusterRouterConfig {
     pub vnodes: usize,
     /// Failover engine tuning (retry budget, deadline, leg timeouts).
     pub router: RouterConfig,
-    /// Health prober tuning (probe path/interval, hysteresis thresholds).
+    /// Health prober tuning (probe interval, timeouts, hysteresis thresholds).
     pub health: HealthConfig,
 }
 
@@ -613,7 +613,6 @@ mod tests {
             read_timeout: Duration::from_millis(200),
             fail_threshold: 2,
             recover_threshold: 2,
-            ..HealthConfig::default()
         }
     }
 

@@ -180,7 +180,7 @@ fn mean_coverage_hits_nominal_rate() {
     assert!(mean >= 0.78, "mean coverage {mean} below nominal 0.8");
 }
 
-/// Online and windowed calibration hold the conformal guarantee on
+/// Split, online and windowed calibration hold the conformal guarantee on
 /// exchangeable streams. With `n` scores held, one fresh query is covered
 /// with probability in `[1 − α, 1 − α + 1/(n+1)]`; over many seeded
 /// streams the mean coverage must sit in that range, widened by four
@@ -190,7 +190,7 @@ fn online_and_windowed_mean_coverage_stays_in_the_conformal_band() {
     use cardest::conformal::OnlineConformal;
     use rand::{rngs::StdRng, Rng, SeedableRng};
     let alpha = 0.1;
-    let (n_online, window) = (24usize, 19usize);
+    let (n_split, n_online, window) = (29usize, 24usize, 19usize);
     // Enough trials that serving one order statistic too high or too low
     // leaves the band for the online calibrator.
     let trials = 10_000;
@@ -199,7 +199,7 @@ fn online_and_windowed_mean_coverage_stays_in_the_conformal_band() {
         let x = rng.gen_range(0.0..1.0f32);
         (vec![x], f64::from(x) + rng.gen_range(-1.0..1.0))
     };
-    let (mut online_hits, mut window_hits) = (0usize, 0usize);
+    let (mut split_hits, mut online_hits, mut window_hits) = (0usize, 0usize, 0usize);
     for seed in 0..trials {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut online = OnlineConformal::new(model, AbsoluteResidual, &[], &[], alpha);
@@ -219,8 +219,17 @@ fn online_and_windowed_mean_coverage_stays_in_the_conformal_band() {
         let (x, y) = draw(&mut rng);
         online_hits += usize::from(online.interval(&x).contains(y));
         window_hits += usize::from(windowed.interval(&x).contains(y));
+        // Split CP calibrates once on `n_split` fresh draws.
+        let (cx, cy): (Vec<Vec<f32>>, Vec<f64>) = (0..n_split).map(|_| draw(&mut rng)).unzip();
+        let split = SplitConformal::calibrate(model, AbsoluteResidual, &cx, &cy, alpha);
+        let (x, y) = draw(&mut rng);
+        split_hits += usize::from(split.interval(&x).contains(y));
     }
-    for (name, hits, n) in [("online", online_hits, n_online), ("windowed", window_hits, window)] {
+    for (name, hits, n) in [
+        ("split", split_hits, n_split),
+        ("online", online_hits, n_online),
+        ("windowed", window_hits, window),
+    ] {
         let mean = hits as f64 / trials as f64;
         let (lo, hi) = (1.0 - alpha, 1.0 - alpha + 1.0 / (n as f64 + 1.0));
         let sd = |p: f64| (p * (1.0 - p) / trials as f64).sqrt();

@@ -412,12 +412,15 @@ fn router_metrics_aggregate_the_fleet_with_escaped_labels() {
 /// names them `cardest_cluster_*` with telemetry on and off alike, and the
 /// truth-lag family labels each shard by its name verbatim: shards `a.b`
 /// and `a-b` stay two series instead of colliding in a mangled metric name.
+/// No scrape declares a metric family twice, even after the prober has run
+/// a round over both shards with telemetry on.
 #[test]
 fn router_cluster_series_have_the_same_names_with_telemetry_on_and_off() {
     let _guard = trace_lock();
     trace::reset();
     trace::set_sample_rate(0);
     let was_enabled = ce_telemetry::enabled();
+    ce_telemetry::set_enabled(true);
     // Stub shards answer predicts but reject the truth fan-out, so every
     // replicated truth is charged to the backup's lag.
     let stub = || {
@@ -458,18 +461,17 @@ fn router_cluster_series_have_the_same_names_with_telemetry_on_and_off() {
         "cardest_cluster_truth_lag{shard=\"a-b\"}",
     ];
     let deadline = Instant::now() + Duration::from_secs(5);
-    while !lag_series.iter().all(|s| scrape(&mut client).contains(s)) {
+    while !lag_series.iter().all(|s| scrape(&mut client).contains(s))
+        || router.fleet_stats().probe_rounds == 0
+    {
         assert!(Instant::now() < deadline, "both shards should lag:\n{}", scrape(&mut client));
         std::thread::sleep(Duration::from_millis(20));
     }
-    // `cluster.probe_us.{name}` is the health prober's registry-only
-    // histogram, rendered only with telemetry on.
     let cluster_names = |body: &str| -> std::collections::BTreeSet<String> {
         body.lines()
             .filter(|line| !line.starts_with('#'))
             .filter_map(|line| line.split(['{', ' ']).next())
             .filter(|name| name.starts_with("cardest_cluster_"))
-            .filter(|name| !name.starts_with("cardest_cluster_probe_us"))
             .map(str::to_string)
             .collect()
     };
@@ -479,15 +481,20 @@ fn router_cluster_series_have_the_same_names_with_telemetry_on_and_off() {
         bodies.push(scrape(&mut client));
     }
     ce_telemetry::set_enabled(was_enabled);
-    let (on, off) = (cluster_names(&bodies[0]), cluster_names(&bodies[1]));
-    assert!(on.contains("cardest_cluster_requests"), "{on:?}");
-    assert!(on.contains("cardest_cluster_truth_lag"), "{on:?}");
-    assert_eq!(on, off, "telemetry on and off must name the same series");
     for body in &bodies {
         for series in lag_series {
             assert!(body.contains(series), "missing {series}:\n{body}");
         }
+        let mut declared = std::collections::BTreeSet::new();
+        for family in body.lines().filter_map(|line| line.strip_prefix("# TYPE ")) {
+            let name = family.split(' ').next().unwrap_or(family);
+            assert!(declared.insert(name), "`# TYPE {name}` declared twice:\n{body}");
+        }
     }
+    let (on, off) = (cluster_names(&bodies[0]), cluster_names(&bodies[1]));
+    assert!(on.contains("cardest_cluster_requests"), "{on:?}");
+    assert!(on.contains("cardest_cluster_truth_lag"), "{on:?}");
+    assert_eq!(on, off, "telemetry on and off must name the same series");
     router.drain();
     dotted.shutdown();
     dashed.shutdown();

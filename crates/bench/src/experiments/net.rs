@@ -308,8 +308,9 @@ pub fn net(scale: &Scale) -> Vec<ExperimentRecord> {
     assert!(observations >= fleet_queries as u64, "prequential feedback lost");
     let metrics_after = probe.get("/metrics").expect("GET /metrics after fleet");
     let metrics_ok = metrics_after.status == 200
-        && String::from_utf8_lossy(&metrics_after.body).contains("cardest_serve_observations");
-    assert!(metrics_ok, "metrics scrape lost the serve gauges");
+        && String::from_utf8_lossy(&metrics_after.body)
+            .contains("cardest_model_observations{model=\"default\"}");
+    assert!(metrics_ok, "metrics scrape lost the per-model series");
     rec.extra("observations", observations as f64);
 
     // --- 3b. sustained soak: qps/latency curve over client tiers ---------

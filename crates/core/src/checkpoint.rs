@@ -290,11 +290,7 @@ fn write_heal(w: &mut Writer, h: &HealSnapshot) {
     w.f64(h.config.max_width_blowup);
     w.u64(h.config.cooldown_base);
     w.u32(h.config.max_backoff_exp);
-    w.u8(match h.state {
-        HealState::Healthy => 0,
-        HealState::Recalibrating => 1,
-        HealState::RolledBack => 2,
-    });
+    w.u8(h.state as u8);
     w.u64(h.observations);
     w.f64s(&h.gathered);
     w.u64(h.gathered_dropped);

@@ -33,16 +33,17 @@ use crate::regressor::Regressor;
 use crate::score::ScoreFunction;
 use crate::service::{PiService, PiServiceConfig};
 
-/// Remediation state of a [`SelfHealingService`].
+/// Remediation state of a [`SelfHealingService`]. The discriminant is the
+/// state's code in checkpoints and in the `heal_state` metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealState {
     /// No remediation in flight; drift alarms are acted on.
-    Healthy,
+    Healthy = 0,
     /// An alarm fired; gathering fresh-regime scores for the refit.
-    Recalibrating,
+    Recalibrating = 1,
     /// The last candidate failed shadow validation; alarms are ignored until
     /// the cooldown elapses.
-    RolledBack,
+    RolledBack = 2,
 }
 
 /// Why a recalibration candidate was rejected during shadow validation.
@@ -459,12 +460,7 @@ impl<M: Regressor, S: ScoreFunction> SelfHealingService<M, S> {
         if !ce_telemetry::enabled() {
             return;
         }
-        let state = match self.state {
-            HealState::Healthy => 0.0,
-            HealState::Recalibrating => 1.0,
-            HealState::RolledBack => 2.0,
-        };
-        ce_telemetry::gauge("heal.state").set(state);
+        ce_telemetry::gauge("heal.state").set(f64::from(self.state as u8));
         ce_telemetry::gauge("heal.rollbacks").set(self.rollbacks as f64);
         ce_telemetry::gauge("heal.promotions").set(self.promotions as f64);
     }

@@ -56,6 +56,7 @@ use cardest::pipeline::{
 };
 use cardest::query::{parse_query, GeneratorConfig};
 use cardest::serve::{HttpServeConfig, ServeEngine};
+use ce_telemetry::{trace::TRANSPORT_STAGES, MetricValue};
 
 /// One command-line flag: its name, the placeholder for its value (`None`
 /// for a switch, which takes no value) and how the value lands in the
@@ -864,9 +865,12 @@ fn print_stats_text(service: &ResilientService) {
         println!("  ... ({} older entries omitted)", errors.len() - 10);
     }
     println!("\nmetrics registry (use --format json|prom for machine-readable export):");
-    for line in ce_telemetry::global().to_prometheus().lines() {
-        if line.starts_with("cardest_resilient_") && !line.starts_with('#') {
-            println!("  {line}");
+    for (name, value) in ce_telemetry::global().snapshot() {
+        match value {
+            _ if !name.starts_with("resilient.") => {}
+            MetricValue::Counter(v) => println!("  {name} {v}"),
+            MetricValue::Gauge(v) => println!("  {name} {v}"),
+            MetricValue::Histogram(h) => println!("  {name} count {} max {}", h.count, h.max),
         }
     }
 }
@@ -1118,74 +1122,76 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Pretty-prints one `/debug/trace` snapshot; falls back to raw text when
-/// the body is not the expected shape (e.g. a future schema).
-fn print_trace_snapshot(text: &str) -> Result<(), serde_json::Error> {
-    let value = serde_json::parse(text)?;
-    let rate = value.field("sample_rate")?.as_f64()? as u64;
-    match rate {
-        0 => println!("flight recorder (tracing off; anomalies still sample)"),
-        1 => println!("flight recorder (tracing every request)"),
-        n => println!("flight recorder (sampling 1 in {n})"),
-    }
-    let serde_json::Value::Array(traces) = value.field("traces")? else {
-        return Err(serde_json::Error::new("`traces` is not an array"));
+/// The `GET /debug/trace` body, as `ce_telemetry::trace::snapshot_json`
+/// writes it.
+#[derive(serde::Deserialize)]
+struct TraceSnapshot {
+    sample_rate: u64,
+    traces: Vec<TraceView>,
+    events: Vec<EventView>,
+}
+
+#[derive(serde::Deserialize)]
+struct TraceView {
+    trace: String,
+    total_ns: f64,
+    stages: Vec<StageView>,
+}
+
+#[derive(serde::Deserialize)]
+struct StageView {
+    stage: String,
+    ns: f64,
+}
+
+#[derive(serde::Deserialize)]
+struct EventView {
+    at_ns: f64,
+    kind: String,
+    anomaly: bool,
+    detail: String,
+}
+
+/// Renders one `/debug/trace` snapshot for the terminal; an error when the
+/// body is not the expected shape (e.g. a future schema).
+fn render_trace_snapshot(text: &str) -> Result<String, serde_json::Error> {
+    use std::fmt::Write as _;
+    let snapshot: TraceSnapshot = serde_json::from_str(text)?;
+    let mut out = match snapshot.sample_rate {
+        0 => "flight recorder (tracing off; anomalies still sample)\n".to_string(),
+        1 => "flight recorder (tracing every request)\n".to_string(),
+        n => format!("flight recorder (sampling 1 in {n})\n"),
     };
-    println!("traces ({}, oldest first):", traces.len());
-    for t in traces {
-        let id = match t.field("trace")? {
-            serde_json::Value::Str(s) => s.clone(),
-            _ => "?".to_string(),
-        };
-        let total = t.field("total_ns")?.as_f64()?;
-        let serde_json::Value::Array(stages) = t.field("stages")? else {
-            continue;
-        };
-        let mut parts = Vec::with_capacity(stages.len());
+    let _ = writeln!(out, "traces ({}, oldest first):", snapshot.traces.len());
+    for t in &snapshot.traces {
         // Sum only the transport stages: span-joined stages (pi_batch, …)
         // nest inside `infer` and would double-count the wall clock.
-        let mut accounted = 0.0;
-        for s in stages {
-            let name = match s.field("stage")? {
-                serde_json::Value::Str(s) => s.clone(),
-                _ => "?".to_string(),
-            };
-            let ns = s.field("ns")?.as_f64()?;
-            if ce_telemetry::trace::TRANSPORT_STAGES.contains(&name.as_str()) {
-                accounted += ns;
-            }
-            parts.push(format!("{name} {}", fmt_ns(ns)));
-        }
-        println!(
-            "  {id}  total {} ({} attributed): {}",
-            fmt_ns(total),
+        let transport = |s: &&StageView| TRANSPORT_STAGES.contains(&s.stage.as_str());
+        let accounted = t.stages.iter().filter(transport).fold(0.0, |sum, s| sum + s.ns);
+        let parts: Vec<String> =
+            t.stages.iter().map(|s| format!("{} {}", s.stage, fmt_ns(s.ns))).collect();
+        let _ = writeln!(
+            out,
+            "  {}  total {} ({} attributed): {}",
+            t.trace,
+            fmt_ns(t.total_ns),
             fmt_ns(accounted),
             if parts.is_empty() { "-".to_string() } else { parts.join(", ") },
         );
     }
-    let serde_json::Value::Array(events) = value.field("events")? else {
-        return Err(serde_json::Error::new("`events` is not an array"));
-    };
-    println!("events ({}, oldest first):", events.len());
-    for e in events {
-        let at_s = e.field("at_ns")?.as_f64()? / 1e9;
-        let kind = match e.field("kind")? {
-            serde_json::Value::Str(s) => s.clone(),
-            _ => "?".to_string(),
-        };
-        let anomaly = matches!(e.field("anomaly")?, serde_json::Value::Bool(true));
-        let detail = match e.field("detail")? {
-            serde_json::Value::Str(s) => s.clone(),
-            _ => String::new(),
-        };
-        println!(
-            "  [+{at_s:.3}s] {kind}{}{}{}",
-            if anomaly { " (ANOMALY)" } else { "" },
-            if detail.is_empty() { "" } else { ": " },
-            detail,
+    let _ = writeln!(out, "events ({}, oldest first):", snapshot.events.len());
+    for e in &snapshot.events {
+        let _ = writeln!(
+            out,
+            "  [+{:.3}s] {}{}{}{}",
+            e.at_ns / 1e9,
+            e.kind,
+            if e.anomaly { " (ANOMALY)" } else { "" },
+            if e.detail.is_empty() { "" } else { ": " },
+            e.detail,
         );
     }
-    Ok(())
+    Ok(out)
 }
 
 /// `cardest-cli trace`: fetch and render a running server's flight recorder.
@@ -1220,9 +1226,12 @@ fn run_trace(opts: TraceOptions) {
         println!("{text}");
         return;
     }
-    if let Err(e) = print_trace_snapshot(&text) {
-        eprintln!("unexpected snapshot shape ({e}); raw body:");
-        println!("{text}");
+    match render_trace_snapshot(&text) {
+        Ok(rendered) => print!("{rendered}"),
+        Err(e) => {
+            eprintln!("unexpected snapshot shape ({e}); raw body:");
+            println!("{text}");
+        }
     }
 }
 
@@ -1628,12 +1637,29 @@ mod tests {
         assert_eq!(opts.trace_sample, 0, "0 turns routed tracing off");
     }
 
+    /// One recorded `/debug/trace` body, its rendering pinned line for line:
+    /// a non-transport stage is listed but not attributed, an empty stage
+    /// list prints `-`, and an event without detail prints no colon.
     #[test]
     fn trace_snapshot_pretty_printer_accepts_the_wire_shape() {
-        let text = r#"{"sample_rate": 64, "traces": [{"trace": "00000000000000000000000000000abc", "at_ns": 5000, "total_ns": 900, "stages": [{"stage": "infer", "ns": 700}, {"stage": "write", "ns": 100}]}], "events": [{"at_ns": 1000, "kind": "breaker_open", "anomaly": true, "detail": "mscn"}]}"#;
-        print_trace_snapshot(text).expect("wire shape must print");
-        assert!(print_trace_snapshot("[]").is_err(), "non-object rejected");
-        assert!(print_trace_snapshot("{}").is_err(), "missing fields rejected");
+        let text = r#"{
+"sample_rate": 8,
+"traces": [{"trace": "0000000000000000000000000000abcd", "at_ns": 1200, "total_ns": 1543000, "stages": [{"stage": "park", "ns": 800}, {"stage": "queue", "ns": 12500}, {"stage": "infer", "ns": 1400000}, {"stage": "pi_batch", "ns": 1300000}, {"stage": "write", "ns": 2100}]}, {"trace": "00000000000000000000000000000abc", "at_ns": 5000, "total_ns": 999, "stages": []}],
+"events": [{"at_ns": 2500000000, "kind": "breaker_open", "anomaly": true, "detail": "primary: \"mscn\" failed"}, {"at_ns": 3000000000, "kind": "drain", "anomaly": false, "detail": ""}]
+}"#;
+        assert_eq!(
+            render_trace_snapshot(text).expect("wire shape must render"),
+            "flight recorder (sampling 1 in 8)
+traces (2, oldest first):
+  0000000000000000000000000000abcd  total 1.54ms (1.42ms attributed): park 800ns, queue 12.5us, infer 1.40ms, pi_batch 1.30ms, write 2.1us
+  00000000000000000000000000000abc  total 999ns (0ns attributed): -
+events (2, oldest first):
+  [+2.500s] breaker_open (ANOMALY): primary: \"mscn\" failed
+  [+3.000s] drain
+"
+        );
+        assert!(render_trace_snapshot("[]").is_err(), "non-object rejected");
+        assert!(render_trace_snapshot("{}").is_err(), "missing fields rejected");
     }
 
     #[test]

@@ -61,6 +61,7 @@ use ce_server::{
     ServerConfig, ServerStats, STAGES_HEADER, TRACE_HEADER, TRUTH_HEADER,
 };
 use ce_telemetry::trace::{self, TraceId};
+use ce_telemetry::Exposition;
 
 /// Tuning for [`start_cluster_router`]: the front server, the failover
 /// engine, and the health prober in one bundle.
@@ -223,12 +224,10 @@ fn route(req: &Request, router: &Router, draining: &AtomicBool) -> Response {
             }
         }
         ("GET", "/metrics") => {
-            let mut body = if ce_telemetry::enabled() {
-                ce_telemetry::global().to_prometheus()
-            } else {
-                String::new()
-            };
-            body.push_str(&cluster_metrics_text(router));
+            let mut out = Exposition::default();
+            out.registry(ce_telemetry::global());
+            cluster_series(&mut out, router);
+            let mut body = out.finish();
             body.push_str(&fleet_metrics(router));
             // The body is the Prometheus text exposition format with
             // telemetry on or off, so both carry the `version=0.0.4`
@@ -540,14 +539,13 @@ fn inject_shard_label(body: &str, shard: &str) -> String {
     out
 }
 
-/// The router's own series as Prometheus text: its forwarding and fleet
-/// counters, and one `cardest_cluster_truth_lag{shard="…"}` family. The
-/// router owns these numbers, so `/metrics` renders them from here with
-/// telemetry on or off, under the same names either way.
-fn cluster_metrics_text(router: &Router) -> String {
+/// The router's own series: its forwarding and fleet counters, and one
+/// `cardest_cluster_truth_lag{shard="…"}` family. The router owns these
+/// numbers, so `/metrics` renders them from here with telemetry on or off,
+/// under the same names either way.
+fn cluster_series(out: &mut Exposition, router: &Router) {
     let stats = router.stats();
     let fleet = router.fleet().stats();
-    let mut out = String::with_capacity(1024);
     for (name, value) in [
         ("requests", stats.requests),
         ("served_primary", stats.served_primary),
@@ -568,18 +566,11 @@ fn cluster_metrics_text(router: &Router) -> String {
         ("readmissions", fleet.readmissions),
         ("probe_failed", fleet.probe_failed),
     ] {
-        let name = format!("cardest_cluster_{name}");
-        out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
+        out.gauge(&format!("cluster_{name}"), &[], value);
     }
-    let lag = router.truth_lag();
-    if !lag.is_empty() {
-        out.push_str("# TYPE cardest_cluster_truth_lag gauge\n");
+    for (shard, value) in router.truth_lag() {
+        out.gauge("cluster_truth_lag", &[("shard", &shard)], value);
     }
-    for (shard, value) in lag {
-        let shard = ce_telemetry::escape_label_value(&shard);
-        out.push_str(&format!("cardest_cluster_truth_lag{{shard=\"{shard}\"}} {value}\n"));
-    }
-    out
 }
 
 #[cfg(test)]

@@ -23,8 +23,10 @@
 //!   calibration (DESIGN.md §14). Both observe paths deduplicate by the
 //!   router-minted `x-ce-truth-id` header (bounded id memory), so fan-out
 //!   overlap and hedge duplicates cannot double-count an observation.
-//! - `GET /metrics` — Prometheus text from the `ce-telemetry` registry,
-//!   including the server's connection/poller counters.
+//! - `GET /metrics` — one Prometheus exposition, with telemetry on or off:
+//!   the `ce-telemetry` registry plus the stats the process owns (server
+//!   connections and poller, batchers, cache, per-model and per-tenant
+//!   series), rendered from their structs.
 //! - `GET /debug/trace` — JSON snapshot of the flight recorder: the last
 //!   traced requests with per-stage latency attribution plus structured
 //!   events (DESIGN.md §13).
@@ -336,9 +338,9 @@ where
         self.resilient().stats().clone()
     }
 
-    /// Mirrors chain + heal state into the telemetry registry. A scrape
-    /// never waits on the chain: while a batch or an observation holds it,
-    /// the gauges keep their last reading.
+    /// Mirrors the chain's `resilient.*` gauges into the telemetry
+    /// registry. A scrape never waits on the chain: while a batch or an
+    /// observation holds it, the gauges keep their last reading.
     pub fn publish_metrics(&self) {
         if !ce_telemetry::enabled() {
             return;
@@ -349,19 +351,6 @@ where
             Err(TryLockError::WouldBlock) => return,
         };
         resilient.publish_telemetry();
-        let healing = resilient.primary();
-        ce_telemetry::gauge("serve.heal_state").set(match healing.state() {
-            HealState::Healthy => 0.0,
-            HealState::Recalibrating => 1.0,
-            HealState::RolledBack => 2.0,
-        });
-        ce_telemetry::gauge("serve.mode_drifted").set(match healing.service().mode() {
-            ServiceMode::Stable => 0.0,
-            ServiceMode::Drifted => 1.0,
-        });
-        ce_telemetry::gauge("serve.observations").set(healing.observations() as f64);
-        ce_telemetry::gauge("serve.promotions").set(healing.promotion_count() as f64);
-        ce_telemetry::gauge("serve.rollbacks").set(healing.rollback_count() as f64);
     }
 }
 
@@ -524,26 +513,6 @@ pub(crate) fn json_str(s: &str) -> String {
 
 pub(crate) fn json_error(status: u16, message: &str) -> Response {
     Response::json(status, format!("{{\"error\":{}}}", json_str(message)))
-}
-
-/// Mirrors the server's connection/poller counters into the telemetry
-/// registry (satellite of `/metrics`: the PR 7 event-loop counters —
-/// `poller_wakeups`, `poller_dispatches`, the parked-connection gauge, and
-/// the instantaneous dispatch depth — become scrapeable).
-pub(crate) fn publish_server_stats(stats: &ServerStats) {
-    if !ce_telemetry::enabled() {
-        return;
-    }
-    ce_telemetry::gauge("serve.conns_accepted").set(stats.accepted as f64);
-    ce_telemetry::gauge("serve.conns_shed").set(stats.conn_shed as f64);
-    ce_telemetry::gauge("serve.conns_open").set(stats.open as f64);
-    ce_telemetry::gauge("serve.requests").set(stats.requests as f64);
-    ce_telemetry::gauge("serve.parse_errors").set(stats.parse_errors as f64);
-    ce_telemetry::gauge("serve.buffer_allocs").set(stats.buffer_allocs as f64);
-    ce_telemetry::gauge("serve.poller_wakeups").set(stats.poller_wakeups as f64);
-    ce_telemetry::gauge("serve.poller_dispatches").set(stats.poller_dispatches as f64);
-    ce_telemetry::gauge("serve.parked_conns").set(stats.parked as f64);
-    ce_telemetry::gauge("serve.dispatch_depth").set(stats.dispatch_depth as f64);
 }
 
 /// Parses `x-ce-truth-id`: exactly 16 lowercase hex digits encoding a

@@ -49,11 +49,11 @@ use std::time::Instant;
 
 use crate::conformal::{
     decode_checkpoint, CardEstError, Checkpoint, HealState, PredictionInterval, Regressor,
-    ScoreFunction,
+    ScoreFunction, ServiceMode,
 };
 use crate::serve::{
-    json_error, json_str, parse_predict_body, parse_truth_id, publish_server_stats,
-    render_predict_body, BatchResults, BatchStamp, HttpServeConfig, ServeEngine, ServeHandle,
+    json_error, json_str, parse_predict_body, parse_truth_id, render_predict_body, BatchResults,
+    BatchStamp, HttpServeConfig, ServeEngine, ServeHandle,
 };
 use ce_server::{
     fnv1a64, Admission, BatchError, BatcherConfig, BatcherStats, HttpServer, MicroBatcher,
@@ -61,6 +61,7 @@ use ce_server::{
     STAGES_HEADER, TENANT_HEADER, TRACE_HEADER, TRUTH_HEADER,
 };
 use ce_telemetry::trace::{self, TraceId};
+use ce_telemetry::Exposition;
 
 /// The model name the bare (PR 5–9 era) endpoints alias to.
 pub const DEFAULT_MODEL: &str = "default";
@@ -793,7 +794,6 @@ where
         match limiter.admit(tenant, now_nanos()) {
             Admission::Allowed => {}
             Admission::Limited { retry_after_secs } => {
-                ce_telemetry::counter("tenant.rate_limited").inc();
                 return Response::json(
                     429,
                     format!("{{\"error\":\"rate limited\",\"tenant\":{}}}", json_str(tenant)),
@@ -874,11 +874,9 @@ where
         end_stage("cache", t_cache);
         if let Some(body) = hit {
             entry.cache_hits.fetch_add(1, Ordering::Relaxed);
-            ce_telemetry::counter("tenant.cache_hit").inc();
             return Response::json(200, body.as_ref());
         }
         entry.cache_misses.fetch_add(1, Ordering::Relaxed);
-        ce_telemetry::counter("tenant.cache_miss").inc();
     }
     // The rows move into the batch; only feedback needs them afterwards.
     let observed = truths.is_some().then(|| features.clone());
@@ -981,120 +979,106 @@ where
     }
 }
 
-/// `GET /metrics`: the global registry in Prometheus text form, then the
-/// `model="…"`-labeled per-model series and the `tenant="…"`-labeled
-/// fairness series appended (both hand-rendered — the `ce-telemetry`
-/// registry is label-free by design, mirroring how the cluster router
-/// injects `shard="…"`).
+/// `GET /metrics`: one Prometheus exposition with telemetry on or off. The
+/// global registry adds its families; the stats this process owns (server
+/// connections and poller, the batchers, the cache, and the
+/// `model="…"`- and `tenant="…"`-labeled series) render straight from
+/// their structs.
 fn metrics<M, S>(registry: &ModelRegistry<M, S>, probe: &OnceLock<ServerStatsProbe>) -> Response
 where
     M: Regressor + Send + Sync + 'static,
     S: ScoreFunction + Send + Sync + 'static,
 {
-    // Legacy single-engine gauges track the default model (bare-endpoint
+    // The chain's `resilient.*` gauges track the default model (bare-endpoint
     // compatibility); per-model truth lives in the labeled series below.
-    if let Some(entry) = registry.entry(DEFAULT_MODEL) {
+    let first = || registry.names().first().and_then(|name| registry.entry(name));
+    if let Some(entry) = registry.entry(DEFAULT_MODEL).or_else(first) {
         entry.engine().publish_metrics();
-    } else if let Some(name) = registry.names().first() {
-        if let Some(entry) = registry.entry(name) {
-            entry.engine().publish_metrics();
-        }
     }
-    if ce_telemetry::enabled() {
-        let stats = registry.batcher_stats_sum();
-        ce_telemetry::gauge("serve.batch_admitted").set(stats.admitted as f64);
-        ce_telemetry::gauge("serve.batch_shed").set(stats.shed as f64);
-        ce_telemetry::gauge("serve.batches").set(stats.batches as f64);
-        ce_telemetry::gauge("serve.max_batch").set(stats.max_batch_seen as f64);
-        let cache = registry.cache.stats();
-        ce_telemetry::gauge("tenant.cache_entries").set(cache.entries as f64);
-        ce_telemetry::gauge("tenant.cache_evictions").set(cache.evictions as f64);
-        ce_telemetry::gauge("tenant.cache_invalidations").set(cache.invalidations as f64);
+    let mut out = Exposition::default();
+    out.registry(ce_telemetry::global());
+    let server = probe.get().map(ServerStatsProbe::stats).unwrap_or_default();
+    let batch = registry.batcher_stats_sum();
+    let cache = registry.cache.stats();
+    for (name, value) in [
+        ("serve_conns_accepted", server.accepted),
+        ("serve_conns_shed", server.conn_shed),
+        ("serve_conns_open", server.open),
+        ("serve_requests", server.requests),
+        ("serve_parse_errors", server.parse_errors),
+        ("serve_buffer_allocs", server.buffer_allocs),
+        ("serve_poller_wakeups", server.poller_wakeups),
+        ("serve_poller_dispatches", server.poller_dispatches),
+        ("serve_parked_conns", server.parked),
+        ("serve_dispatch_depth", server.dispatch_depth),
+        ("serve_batch_admitted", batch.admitted),
+        ("serve_batch_shed", batch.shed),
+        ("serve_batches", batch.batches),
+        ("serve_max_batch", batch.max_batch_seen),
+        ("tenant_cache_entries", cache.entries as u64),
+        ("tenant_cache_evictions", cache.evictions),
+        ("tenant_cache_invalidations", cache.invalidations),
+    ] {
+        out.gauge(name, &[], value);
     }
-    if let Some(probe) = probe.get() {
-        publish_server_stats(&probe.stats());
-    }
-    let mut body = ce_telemetry::global().to_prometheus();
-    body.push_str(&model_metrics_text(registry));
-    body.push_str(&tenant_metrics_text(registry));
+    out.counter("tenant_cache_hit", &[], cache.hits);
+    out.counter("tenant_cache_miss", &[], cache.misses);
+    model_series(&mut out, registry);
+    tenant_series(&mut out, registry);
     Response::new(200)
         .header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        .body(body)
+        .body(out.finish())
 }
 
-/// Per-model metric series with `model="…"` labels, metric-major so each
-/// `# TYPE` header appears once.
-fn model_metrics_text<M, S>(registry: &ModelRegistry<M, S>) -> String
+/// Per-model series with `model="…"` labels.
+fn model_series<M, S>(out: &mut Exposition, registry: &ModelRegistry<M, S>)
 where
     M: Regressor + Send + Sync + 'static,
     S: ScoreFunction + Send + Sync + 'static,
 {
     let entries: Vec<Arc<ModelEntry<M, S>>> = registry.models_read().values().cloned().collect();
-    if entries.is_empty() {
-        return String::new();
-    }
-    let mut out = String::new();
-    let mut series = |name: &str, values: &[(String, f64)]| {
-        out.push_str(&format!("# TYPE cardest_{name} gauge\n"));
-        for (label, value) in values {
-            out.push_str(&format!("cardest_{name}{{model=\"{label}\"}} {value}\n"));
+    for entry in entries {
+        let engine = entry.engine();
+        let batch = entry.batcher.stats();
+        for (name, value) in [
+            ("model_observations", engine.observations()),
+            ("model_generation", engine.generation()),
+            ("model_reloads", entry.reloads()),
+            ("model_reload_rejects", entry.reload_rejects()),
+            ("model_cache_hits", entry.cache_hits.load(Ordering::Relaxed)),
+            ("model_cache_misses", entry.cache_misses.load(Ordering::Relaxed)),
+            ("model_replay_len", entry.replay_len() as u64),
+            ("model_batch_admitted", batch.admitted),
+            ("model_batch_shed", batch.shed),
+            ("model_heal_state", engine.heal_state() as u64),
+            ("model_mode_drifted", u64::from(engine.mode() == ServiceMode::Drifted)),
+        ] {
+            out.gauge(name, &[("model", &entry.name)], value);
         }
-    };
-    let labels: Vec<String> = entries
-        .iter()
-        .map(|e| ce_telemetry::escape_label_value(&e.name))
-        .collect();
-    let collect = |f: &dyn Fn(&ModelEntry<M, S>) -> f64| -> Vec<(String, f64)> {
-        entries.iter().zip(&labels).map(|(e, l)| (l.clone(), f(e))).collect()
-    };
-    series("model_observations", &collect(&|e| e.engine().observations() as f64));
-    series("model_generation", &collect(&|e| e.engine().generation() as f64));
-    series("model_reloads", &collect(&|e| e.reloads() as f64));
-    series("model_reload_rejects", &collect(&|e| e.reload_rejects() as f64));
-    series("model_cache_hits", &collect(&|e| e.cache_hits.load(Ordering::Relaxed) as f64));
-    series("model_cache_misses", &collect(&|e| e.cache_misses.load(Ordering::Relaxed) as f64));
-    series("model_replay_len", &collect(&|e| e.replay_len() as f64));
-    series("model_batch_admitted", &collect(&|e| e.batcher.stats().admitted as f64));
-    series("model_batch_shed", &collect(&|e| e.batcher.stats().shed as f64));
-    series(
-        "model_heal_state",
-        &collect(&|e| match e.engine().heal_state() {
-            HealState::Healthy => 0.0,
-            HealState::Recalibrating => 1.0,
-            HealState::RolledBack => 2.0,
-        }),
-    );
-    out
+    }
 }
 
 /// Per-tenant fairness series with `tenant="…"` labels: queue depth
 /// (gauge), admitted/shed/overflow-shed (counters as gauges — the limiter
 /// owns the truth).
-fn tenant_metrics_text<M, S>(registry: &ModelRegistry<M, S>) -> String
+fn tenant_series<M, S>(out: &mut Exposition, registry: &ModelRegistry<M, S>)
 where
     M: Regressor + Send + Sync + 'static,
     S: ScoreFunction + Send + Sync + 'static,
 {
     let Some(limiter) = registry.limiter() else {
-        return String::new();
+        return;
     };
-    let snapshot = limiter.snapshot();
-    if snapshot.is_empty() {
-        return String::new();
-    }
-    let mut out = String::new();
-    let mut series = |name: &str, value: &dyn Fn(&ce_server::TenantStats) -> f64| {
-        out.push_str(&format!("# TYPE cardest_{name} gauge\n"));
-        for stats in &snapshot {
-            let label = ce_telemetry::escape_label_value(&stats.tenant);
-            out.push_str(&format!("cardest_{name}{{tenant=\"{label}\"}} {}\n", value(stats)));
+    for stats in limiter.snapshot() {
+        for (name, value) in [
+            ("tenant_queue_depth", stats.in_flight),
+            ("tenant_admitted", stats.admitted),
+            ("tenant_rate_shed", stats.shed),
+            ("tenant_overflow_shed", stats.overflow_shed),
+        ] {
+            out.gauge(name, &[("tenant", &stats.tenant)], value);
         }
-    };
-    series("tenant_queue_depth", &|s| s.in_flight as f64);
-    series("tenant_admitted", &|s| s.admitted as f64);
-    series("tenant_rate_shed", &|s| s.shed as f64);
-    series("tenant_overflow_shed", &|s| s.overflow_shed as f64);
-    out
+    }
 }
 
 #[cfg(test)]
@@ -1165,6 +1149,13 @@ mod tests {
 
     fn tuning() -> RegistryTuning {
         RegistryTuning { cache_entries: 64, min_replay: 4, ..RegistryTuning::default() }
+    }
+
+    /// The `tenant="…"` families alone, as `/metrics` renders them.
+    fn tenant_metrics_text(registry: &ModelRegistry<Model, AbsoluteResidual>) -> String {
+        let mut out = Exposition::default();
+        tenant_series(&mut out, registry);
+        out.finish()
     }
 
     /// An in-process request against `route_registry` (no sockets): the

@@ -2,7 +2,7 @@
 //! ID propagation across the router→shard hop, per-stage latency
 //! attribution, the anomaly flight recorder, and the observability
 //! satellites (Prometheus content type, fleet-labeled aggregation, poller
-//! counters, the router's series names).
+//! counters, the router's and the shard's series names).
 //!
 //! The trace rings, sample rate, and anomaly window are process-global by
 //! design (one flight recorder per process), so every test here serializes
@@ -18,9 +18,10 @@ use cardest::conformal::{
 use cardest::router::{start_cluster_router, ClusterRouterConfig, ClusterRouterHandle};
 use cardest::serve::{start_server, HttpServeConfig, ServeEngine, ServeHandle};
 use cardest::server::{
-    HealthConfig, HttpClient, HttpServer, Request, Response, RouterConfig, ServerConfig,
-    TRACE_HEADER,
+    HealthConfig, HttpClient, HttpServer, RateLimit, Request, Response, RouterConfig,
+    ServerConfig, TENANT_HEADER, TRACE_HEADER,
 };
+use cardest::tenant::{start_registry_server, ModelRegistry, RegistryTuning};
 use ce_telemetry::trace;
 
 /// Serializes tests in this binary: the trace subsystem is process-global.
@@ -34,6 +35,18 @@ fn trace_lock() -> MutexGuard<'static, ()> {
 /// on stage attribution use it to make inference the dominant cost, so
 /// scheduling jitter stays inside their tolerance.
 fn pi_shard(delay: Duration) -> ServeHandle {
+    start_server(
+        Arc::new(pi_engine(delay)),
+        "127.0.0.1:0",
+        HttpServeConfig { workers: 2, ..Default::default() },
+    )
+    .expect("bind pi shard")
+}
+
+/// The tiny calibrated engine behind [`pi_shard`].
+fn pi_engine(
+    delay: Duration,
+) -> ServeEngine<impl Fn(&[f32]) -> f64 + Send + Sync + 'static, AbsoluteResidual> {
     let n = 32usize;
     let xs: Vec<Vec<f32>> = (0..n).map(|i| vec![i as f32 / n as f32]).collect();
     let ys: Vec<f64> = (0..n).map(|i| i as f64 / n as f64 + 0.01).collect();
@@ -51,13 +64,7 @@ fn pi_shard(delay: Duration) -> ServeHandle {
         PiServiceConfig::default(),
         HealConfig::default(),
     );
-    let engine = Arc::new(ServeEngine::new(healing, Vec::new(), 1));
-    start_server(
-        engine,
-        "127.0.0.1:0",
-        HttpServeConfig { workers: 2, ..Default::default() },
-    )
-    .expect("bind pi shard")
+    ServeEngine::new(healing, Vec::new(), 1)
 }
 
 /// A router over one live PI shard, with a fast prober so readiness
@@ -498,4 +505,100 @@ fn router_cluster_series_have_the_same_names_with_telemetry_on_and_off() {
     router.drain();
     dotted.shutdown();
     dashed.shutdown();
+}
+
+/// The shard renders `/metrics` as one exposition with telemetry on or off:
+/// no family is declared twice, every sample sits under its own family's
+/// `# TYPE` line, and the series the process owns (connections, poller,
+/// batchers, cache, per-model and per-tenant) leave in both scrapes, read
+/// fresh from their structs.
+#[test]
+fn shard_scrape_declares_each_family_once_with_telemetry_on_and_off() {
+    let _guard = trace_lock();
+    trace::reset();
+    trace::set_sample_rate(0);
+    ce_telemetry::global().reset();
+    let was_enabled = ce_telemetry::enabled();
+    ce_telemetry::set_enabled(true);
+    let registry = ModelRegistry::new(RegistryTuning { cache_entries: 16, ..Default::default() })
+        .with_limiter(RateLimit::new(1000.0, 1000.0).expect("valid limit"));
+    registry.register("default", pi_engine(Duration::ZERO));
+    registry.register("alt", pi_engine(Duration::ZERO));
+    let shard = start_registry_server(
+        Arc::new(registry),
+        "127.0.0.1:0",
+        HttpServeConfig { workers: 2, ..Default::default() },
+    )
+    .expect("bind registry shard");
+    let mut client = HttpClient::connect(shard.local_addr()).expect("connect");
+    // Twice per model, so the second request of each is a cache hit.
+    for path in ["/v1/predict", "/v1/predict/alt", "/v1/predict", "/v1/predict/alt"] {
+        let headers = vec![("content-type", "application/json"), (TENANT_HEADER, "t\"1")];
+        let resp = client.request("POST", path, headers, PREDICT_BODY).expect("predict");
+        assert_eq!(resp.status, 200, "{path}");
+    }
+    let mut bodies = Vec::new();
+    for telemetry_on in [true, false] {
+        ce_telemetry::set_enabled(telemetry_on);
+        let resp = client.get("/metrics").expect("scrape");
+        assert_eq!(resp.status, 200);
+        bodies.push(String::from_utf8_lossy(&resp.body).into_owned());
+    }
+    ce_telemetry::set_enabled(was_enabled);
+    shard.drain();
+
+    let owned = |body: &str| -> std::collections::BTreeSet<String> {
+        let mut declared = std::collections::BTreeSet::new();
+        let mut family: Option<(&str, &str)> = None;
+        let mut series = std::collections::BTreeSet::new();
+        for line in body.lines() {
+            if let Some(decl) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = decl.split_once(' ').expect("`# TYPE name kind`");
+                assert!(declared.insert(name), "`# TYPE {name}` declared twice:\n{body}");
+                family = Some((name, kind));
+                continue;
+            }
+            let (sample, _value) = line.rsplit_once(' ').expect("`series value`");
+            let name = sample.split('{').next().unwrap_or(sample);
+            let (current, kind) = family.unwrap_or_else(|| panic!("{line} before any # TYPE"));
+            let base = match kind {
+                "histogram" => ["_bucket", "_sum", "_count"]
+                    .iter()
+                    .find_map(|suffix| name.strip_suffix(suffix))
+                    .unwrap_or(name),
+                _ => name,
+            };
+            assert_eq!(base, current, "`{line}` is not under its family's # TYPE:\n{body}");
+            if ["cardest_serve_", "cardest_tenant_", "cardest_model_"]
+                .iter()
+                .any(|prefix| name.starts_with(prefix))
+            {
+                series.insert(sample.to_string());
+            }
+        }
+        series
+    };
+    let (on, off) = (owned(&bodies[0]), owned(&bodies[1]));
+    assert_eq!(on, off, "telemetry on and off must carry the same owned series");
+    // Owned series are read at scrape time, not copied while telemetry was
+    // on: the second scrape counts the first as a served request.
+    let served = |body: &str| -> f64 {
+        let line = body.lines().find_map(|l| l.strip_prefix("cardest_serve_requests "));
+        line.and_then(|v| v.parse().ok()).expect("cardest_serve_requests sample")
+    };
+    assert_eq!(served(&bodies[1]), served(&bodies[0]) + 1.0, "stale:\n{}", bodies[1]);
+    for prefix in [
+        "cardest_serve_conns_",
+        "cardest_serve_poller_",
+        "cardest_serve_batch_",
+        "cardest_tenant_cache_",
+        "cardest_tenant_queue_depth{tenant=\"t\\\"1\"}",
+        "cardest_tenant_rate_shed{tenant=\"t\\\"1\"}",
+        "cardest_model_observations{model=\"default\"}",
+        "cardest_model_observations{model=\"alt\"}",
+        "cardest_model_mode_drifted{model=\"default\"}",
+        "cardest_model_mode_drifted{model=\"alt\"}",
+    ] {
+        assert!(off.iter().any(|s| s.starts_with(prefix)), "missing {prefix}*:\n{}", bodies[1]);
+    }
 }

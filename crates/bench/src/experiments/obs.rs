@@ -30,7 +30,7 @@ use cardest::pipeline::train_mscn;
 use ce_telemetry::trace;
 
 use crate::report::ExperimentRecord;
-use crate::samples::{samples_member, timed};
+use crate::samples::{samples_member, timed_per_pass};
 use crate::scale::Scale;
 
 use super::scoring::fig6;
@@ -42,9 +42,12 @@ const OVERHEAD_THRESHOLD_PCT: f64 = 5.0;
 /// Maximum tolerated throughput cost of head-sampled tracing (1-in-64).
 const TRACING_OVERHEAD_THRESHOLD_PCT: f64 = 2.0;
 
-/// Passes over the test batch per timed sample, so one sample is long enough
-/// that scheduler noise does not dominate a sub-millisecond batch.
-const PASSES_PER_SAMPLE: usize = 4;
+/// Wall time of one timed telemetry sample, at least: whole passes over the
+/// test batch repeat until it has passed, and the sample is the mean time
+/// per pass. A pass is a sub-millisecond batch; a sample counted in passes
+/// shrinks whenever the model forward gets faster, and scheduler noise then
+/// takes a larger share of it.
+const SAMPLE_SECS: f64 = 0.025;
 
 /// Timed samples per telemetry setting (best-of is the noise-robust pick).
 const SAMPLES: usize = 7;
@@ -55,9 +58,10 @@ const SAMPLES: usize = 7;
 /// gate's resolution.
 const TRACING_SAMPLES: usize = 17;
 
-/// Passes per tracing sample: longer samples than the telemetry phase so
-/// scheduler jitter (~hundreds of µs) stays well under the 2% gate.
-const TRACING_PASSES: usize = 12;
+/// Wall time of one timed tracing sample, at least: longer than the
+/// telemetry phase's so scheduler jitter (~hundreds of µs) stays well under
+/// the 2% gate.
+const TRACING_SAMPLE_SECS: f64 = 0.05;
 
 /// Queries streamed in each prequential phase of the drift scenario.
 const DRIFT_STREAM: usize = 400;
@@ -113,13 +117,7 @@ pub fn obs(scale: &Scale) -> Vec<ExperimentRecord> {
         PiServiceConfig { alpha: ALPHA, ..Default::default() },
     );
     let batch = &bench.test.x;
-    let serve = || {
-        let mut last = Vec::new();
-        for _ in 0..PASSES_PER_SAMPLE {
-            last = service.predict_interval_batch(batch);
-        }
-        last
-    };
+    let serve = || service.predict_interval_batch(batch);
     // Warm both code paths once before timing. Samples interleave the two
     // settings, as the tracing phase below does, so host drift between
     // samples hits both sides before best-of picks (timing every off
@@ -137,19 +135,20 @@ pub fn obs(scale: &Scale) -> Vec<ExperimentRecord> {
         for on in [sample % 2 == 1, sample % 2 == 0] {
             ce_telemetry::set_enabled(on);
             if on {
-                let (ivs, secs) = timed("obs/serving_telemetry_on", serve);
+                let (ivs, secs) = timed_per_pass("obs/serving_telemetry_on", SAMPLE_SECS, serve);
                 assert_eq!(ivs, ivs_off, "telemetry changed served intervals");
                 secs_on = secs_on.min(secs);
             } else {
-                secs_off = secs_off.min(timed("obs/serving_telemetry_off", serve).1);
+                let (_, secs) = timed_per_pass("obs/serving_telemetry_off", SAMPLE_SECS, serve);
+                secs_off = secs_off.min(secs);
             }
         }
         ce_telemetry::set_enabled(false);
     }
     let overhead_pct = (secs_on - secs_off) / secs_off * 100.0;
-    let queries_per_sample = (batch.len() * PASSES_PER_SAMPLE) as f64;
-    rec.extra("serving_qps_off", queries_per_sample / secs_off);
-    rec.extra("serving_qps_on", queries_per_sample / secs_on);
+    let queries_per_pass = batch.len() as f64;
+    rec.extra("serving_qps_off", queries_per_pass / secs_off);
+    rec.extra("serving_qps_on", queries_per_pass / secs_on);
     rec.extra("overhead_pct", overhead_pct);
     assert!(
         overhead_pct < OVERHEAD_THRESHOLD_PCT,
@@ -165,17 +164,14 @@ pub fn obs(scale: &Scale) -> Vec<ExperimentRecord> {
     // Samples interleave the two settings so machine drift (thermal,
     // frequency scaling) hits both sides equally before best-of picks.
     let serve_traced = || {
-        let mut last = Vec::new();
-        for _ in 0..TRACING_PASSES {
-            if trace::should_sample() {
-                trace::begin(trace::mint());
-            }
-            last = service.predict_interval_batch(batch);
-            if trace::active_id().is_some() {
-                trace::finish(None);
-            }
+        if trace::should_sample() {
+            trace::begin(trace::mint());
         }
-        last
+        let ivs = service.predict_interval_batch(batch);
+        if trace::active_id().is_some() {
+            trace::finish(None);
+        }
+        ivs
     };
     trace::reset();
     trace::warm();
@@ -188,17 +184,17 @@ pub fn obs(scale: &Scale) -> Vec<ExperimentRecord> {
     assert_eq!(ivs_untraced, ivs_sampled, "tracing changed served intervals");
     for _ in 0..TRACING_SAMPLES {
         trace::set_sample_rate(0);
-        let (_, off) = timed("obs/serving_trace_off", serve_traced);
+        let (_, off) = timed_per_pass("obs/serving_trace_off", TRACING_SAMPLE_SECS, serve_traced);
         secs_untraced = secs_untraced.min(off);
         trace::set_sample_rate(trace::DEFAULT_SAMPLE_RATE);
-        let (_, sampled) = timed("obs/serving_trace_sampled", serve_traced);
+        let (_, sampled) =
+            timed_per_pass("obs/serving_trace_sampled", TRACING_SAMPLE_SECS, serve_traced);
         secs_sampled = secs_sampled.min(sampled);
     }
     trace::set_sample_rate(0);
     let tracing_overhead_pct = (secs_sampled - secs_untraced) / secs_untraced * 100.0;
-    let tracing_queries = (batch.len() * TRACING_PASSES) as f64;
-    rec.extra("tracing_qps_off", tracing_queries / secs_untraced);
-    rec.extra("tracing_qps_sampled", tracing_queries / secs_sampled);
+    rec.extra("tracing_qps_off", queries_per_pass / secs_untraced);
+    rec.extra("tracing_qps_sampled", queries_per_pass / secs_sampled);
     rec.extra("tracing_overhead_pct", tracing_overhead_pct);
     assert!(
         tracing_overhead_pct < TRACING_OVERHEAD_THRESHOLD_PCT,

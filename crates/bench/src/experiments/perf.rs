@@ -17,8 +17,11 @@
 //! bit-for-bit across thread counts and the experiment panics on any
 //! divergence. Before the timings, the three mat-mul entry points at the
 //! kernel level this host dispatches to are compared bit-for-bit with a
-//! naive loop on the MSCN layer shapes; the summary records that level
-//! (`kernel_level`) and the verdict (`kernel_matches_reference`). Wall
+//! naive loop on the MSCN layer shapes, once on dense operands and once on
+//! post-ReLU left operands (about half exact zeros, which the kernel
+//! skips); the summary records that level (`kernel_level`) and the
+//! verdicts (`kernel_matches_reference`,
+//! `kernel_zero_skip_matches_reference`). Wall
 //! times are recorded in the [`samples`](crate::samples) registry, and the
 //! summary, with every sample, is exported to `BENCH_perf.json` in the
 //! working directory alongside the usual `results/perf.json` record.
@@ -86,9 +89,12 @@ fn naive_product_bits(a: &Matrix, b: &Matrix) -> Vec<u32> {
 
 /// Whether the dispatched `matmul`, `t_matmul` and `matmul_t` all equal the
 /// naive loop bit for bit on the MSCN layer shapes: reduction widths 14, 64
-/// and 65, output widths 1 and 64, and 1, 8, 22 and 256 rows. The unit
-/// tests check every level too, but only this check runs the release build.
-fn kernel_matches_reference() -> bool {
+/// and 65, output widths 1 and 64, and 1, 8, 22 and 256 rows. With
+/// `post_relu`, the left operand goes through ReLU first, so about half its
+/// values are exact zeros, as in a hidden layer's input, and the kernel's
+/// zero-skipping path runs. The unit tests check every level too, but only
+/// this check runs the release build.
+fn kernel_matches_reference(post_relu: bool) -> bool {
     let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let mut seed = 10;
     let mut all_match = true;
@@ -96,7 +102,10 @@ fn kernel_matches_reference() -> bool {
         for n in [1, 64] {
             for m in [1, 8, 22, 256] {
                 seed += 2;
-                let a = lcg_matrix(m, k, seed);
+                let mut a = lcg_matrix(m, k, seed);
+                if post_relu {
+                    a.map_inplace(|v| v.max(0.0));
+                }
                 let b = lcg_matrix(k, n, seed + 1);
                 let want = naive_product_bits(&a, &b);
                 all_match &= bits(&a.matmul(&b)) == want
@@ -119,8 +128,13 @@ pub fn perf(scale: &Scale) -> Vec<ExperimentRecord> {
 
     // --- 0. kernel audit ------------------------------------------------
     let kernel_level = cardest::nn::matmul_kernel_level();
-    let kernel_ok = kernel_matches_reference();
+    let kernel_ok = kernel_matches_reference(false);
     assert!(kernel_ok, "the {kernel_level} mat-mul kernel diverged from the naive loop");
+    let zero_skip_ok = kernel_matches_reference(true);
+    assert!(
+        zero_skip_ok,
+        "the {kernel_level} mat-mul kernel diverged from the naive loop on post-ReLU operands"
+    );
 
     // --- 1. blocked matmul GFLOP/s -------------------------------------
     let (m, k, n) = (96, 256, 96);
@@ -255,7 +269,7 @@ pub fn perf(scale: &Scale) -> Vec<ExperimentRecord> {
          (floor {MIN_SERVING_RATIO})"
     );
 
-    write_bench_summary(scale, hw, kernel_level, kernel_ok, &rec);
+    write_bench_summary(scale, hw, kernel_level, kernel_ok, zero_skip_ok, &rec);
     vec![rec]
 }
 
@@ -266,6 +280,7 @@ fn write_bench_summary(
     hw: usize,
     kernel_level: &str,
     kernel_ok: bool,
+    zero_skip_ok: bool,
     rec: &ExperimentRecord,
 ) {
     let mut json = String::from("{\n");
@@ -273,6 +288,7 @@ fn write_bench_summary(
     json.push_str(&format!("  \"effective_parallelism\": {hw},\n"));
     json.push_str(&format!("  \"kernel_level\": \"{kernel_level}\",\n"));
     json.push_str(&format!("  \"kernel_matches_reference\": {kernel_ok},\n"));
+    json.push_str(&format!("  \"kernel_zero_skip_matches_reference\": {zero_skip_ok},\n"));
     json.push_str("  \"threads\": [1, 2, 4, 8],\n");
     json.push_str("  \"bit_identical_across_threads\": true,\n");
     json.push_str("  \"metrics\": {\n");

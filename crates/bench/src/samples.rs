@@ -35,6 +35,26 @@ pub fn best_of<R>(label: &str, reps: usize, mut f: impl FnMut() -> R) -> (R, f64
     (out.expect("reps must be positive"), best)
 }
 
+/// Runs `pass` again and again until at least `min_secs` of wall time have
+/// passed, records the mean time per pass under `label`, and returns the
+/// last pass's result and that mean in seconds. A sample sized by time
+/// stays as long when `pass` gets faster, so scheduler noise does not grow
+/// into a larger share of it.
+pub fn timed_per_pass<R>(label: &str, min_secs: f64, mut pass: impl FnMut() -> R) -> (R, f64) {
+    let start = Instant::now();
+    let mut passes = 0u32;
+    loop {
+        let r = black_box(pass());
+        passes += 1;
+        let secs = start.elapsed().as_secs_f64();
+        if secs >= min_secs {
+            let per_pass = secs / f64::from(passes);
+            record_sample(label, (per_pass * 1e9) as u128);
+            return (r, per_pass);
+        }
+    }
+}
+
 /// Runs `f` once, records its wall time under `label` and returns its
 /// result and the time in seconds.
 pub fn timed<R>(label: &str, f: impl FnOnce() -> R) -> (R, f64) {

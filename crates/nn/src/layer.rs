@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 
 use crate::adam::{Adam, AdamConfig};
 use crate::init::Init;
-use crate::matrix::{gemm_into, gemm_rows, prefix_mut, transpose_into, Matrix};
+use crate::matrix::{gemm_into, gemm_rows, prefix_mut, transpose_into, Matrix, Rhs};
 use crate::tape::Scratch;
 
 /// Elementwise activation functions.
@@ -116,8 +116,9 @@ impl Dense {
     /// row per input row, split over the pool as [`Dense::infer`] is and
     /// bit-identical to it.
     pub(crate) fn forward_into(&self, input: &[f32], out: &mut [f32]) {
-        let (k, n) = (self.input_dim(), self.output_dim());
-        gemm_into(input, k, self.weights.data(), n, &self.bias, self.activation, out);
+        let n = self.output_dim();
+        let rhs = Rhs::new(self.weights.data(), n, self.weights.all_finite());
+        gemm_into(input, self.input_dim(), rhs.then(&self.bias, self.activation), out);
     }
 
     /// Backward pass over one batch (see [`Dense::gradients`]), then one
@@ -164,23 +165,25 @@ impl Dense {
         assert_eq!(input.len(), rows * k, "batch mismatch in backward");
         // dL/dz = dL/dy * act'(z), from the post-activation values, and
         // dL/db = the column sums of dL/dz, summed over rows in order, in
-        // one pass.
+        // one pass, which also sees whether every dL/dz is finite.
         let act = self.activation;
         let grad_b = prefix_mut(&mut scratch.grad_b, n);
         grad_b.fill(0.0);
+        let mut grad_finite = true;
         for (g_row, a_row) in grad.chunks_exact_mut(n).zip(output.chunks_exact(n)) {
             for ((g, &a), s) in g_row.iter_mut().zip(a_row).zip(grad_b.iter_mut()) {
                 *g *= act.derivative_from_output(a);
                 *s += *g;
+                grad_finite &= g.is_finite();
             }
         }
         // dL/dW = x^T dL/dz ; dL/dx = dL/dz W^T.
         let input_t = transpose_into(input, k, &mut scratch.transposed);
         let grad_w = prefix_mut(&mut scratch.grad_w, k * n);
-        gemm_into(input_t, rows, grad, n, &[], Activation::Identity, grad_w);
+        gemm_into(input_t, rows, Rhs::new(grad, n, grad_finite), grad_w);
         if let Some(grad_input) = grad_input {
             let weights_t = transpose_into(self.weights.data(), n, &mut scratch.transposed);
-            gemm_into(grad, n, weights_t, k, &[], Activation::Identity, grad_input);
+            gemm_into(grad, n, Rhs::new(weights_t, k, self.weights.all_finite()), grad_input);
         }
     }
 

@@ -163,8 +163,6 @@ struct CacheInner {
     /// touch and eviction.
     lru: BTreeMap<u64, CacheKey>,
     clock: u64,
-    hits: u64,
-    misses: u64,
     evictions: u64,
     invalidations: u64,
 }
@@ -172,9 +170,10 @@ struct CacheInner {
 /// Counters for the metrics surface and the bench gates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that returned a body.
+    /// Lookups that returned a body, summed over the models' own counts.
     pub hits: u64,
-    /// Lookups that missed (including generation moves).
+    /// Lookups that missed (including generation moves), summed over the
+    /// models' own counts.
     pub misses: u64,
     /// Entries evicted by capacity pressure.
     pub evictions: u64,
@@ -188,8 +187,9 @@ pub struct CacheStats {
 /// `PreciseCardinalityHintGenerator` keeps a per-estimator cardinality
 /// cache that is manually reset on data shift; this is that idea adapted
 /// to interval *responses*, with the reset made automatic and provable
-/// via the generation key.
-pub struct IntervalCache {
+/// via the generation key. It counts what it holds; each lookup is counted
+/// once, by the model it was made for ([`ModelEntry`]).
+struct IntervalCache {
     cap: usize,
     inner: Mutex<CacheInner>,
 }
@@ -197,12 +197,12 @@ pub struct IntervalCache {
 impl IntervalCache {
     /// A cache holding at most `cap` bodies; `cap == 0` disables it (every
     /// lookup misses, every insert is dropped).
-    pub fn new(cap: usize) -> IntervalCache {
+    fn new(cap: usize) -> IntervalCache {
         IntervalCache { cap, inner: Mutex::new(CacheInner::default()) }
     }
 
     /// Whether inserts can ever succeed.
-    pub fn enabled(&self) -> bool {
+    fn enabled(&self) -> bool {
         self.cap > 0
     }
 
@@ -224,13 +224,9 @@ impl IntervalCache {
                 let body = Arc::clone(&slot.body);
                 inner.lru.remove(&old);
                 inner.lru.insert(stamp, key);
-                inner.hits += 1;
                 Some(body)
             }
-            None => {
-                inner.misses += 1;
-                None
-            }
+            None => None,
         }
     }
 
@@ -271,16 +267,36 @@ impl IntervalCache {
         }
     }
 
-    /// Point-in-time counters.
-    pub fn stats(&self) -> CacheStats {
+    /// Point-in-time occupancy counters, with no lookups counted (those
+    /// are the models', see [`RegistryCache::stats`]).
+    fn stats(&self) -> CacheStats {
         let inner = self.lock();
         CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
             evictions: inner.evictions,
             invalidations: inner.invalidations,
             entries: inner.map.len(),
+            ..CacheStats::default()
         }
+    }
+}
+
+/// The registry's interval cache as its readers see it
+/// ([`ModelRegistry::cache`]): the cache counts what it holds, the models
+/// count the lookups, and [`RegistryCache::stats`] joins the two.
+pub struct RegistryCache<'a, M, S> {
+    registry: &'a ModelRegistry<M, S>,
+}
+
+impl<M, S> RegistryCache<'_, M, S>
+where
+    M: Regressor + Send + Sync + 'static,
+    S: ScoreFunction + Send + Sync + 'static,
+{
+    /// Point-in-time counters: the cache's occupancy, and the lookups
+    /// summed over the registered models.
+    pub fn stats(&self) -> CacheStats {
+        let (hits, misses) = self.registry.cache_lookups();
+        CacheStats { hits, misses, ..self.registry.cache.stats() }
     }
 }
 
@@ -502,8 +518,16 @@ where
     }
 
     /// The shared interval cache.
-    pub fn cache(&self) -> &IntervalCache {
-        &self.cache
+    pub fn cache(&self) -> RegistryCache<'_, M, S> {
+        RegistryCache { registry: self }
+    }
+
+    /// Cache hits and misses summed over the registered models.
+    fn cache_lookups(&self) -> (u64, u64) {
+        self.models_read().values().fold((0, 0), |(hits, misses), entry| {
+            let hits = hits + entry.cache_hits.load(Ordering::Relaxed);
+            (hits, misses + entry.cache_misses.load(Ordering::Relaxed))
+        })
     }
 
     /// The per-tenant limiter, when rate limiting is on.
@@ -999,7 +1023,7 @@ where
     out.registry(ce_telemetry::global());
     let server = probe.get().map(ServerStatsProbe::stats).unwrap_or_default();
     let batch = registry.batcher_stats_sum();
-    let cache = registry.cache.stats();
+    let cache = registry.cache().stats();
     for (name, value) in [
         ("serve_conns_accepted", server.accepted),
         ("serve_conns_shed", server.conn_shed),

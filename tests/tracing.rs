@@ -587,6 +587,21 @@ fn shard_scrape_declares_each_family_once_with_telemetry_on_and_off() {
         line.and_then(|v| v.parse().ok()).expect("cardest_serve_requests sample")
     };
     assert_eq!(served(&bodies[1]), served(&bodies[0]) + 1.0, "stale:\n{}", bodies[1]);
+    // Each cache lookup is counted once, by its model: the shard totals are
+    // the per-model counts summed (one miss, then one hit, per model).
+    let sum = |body: &str, prefix: &str| -> f64 {
+        let samples = body.lines().filter(|l| l.starts_with(prefix));
+        samples.map(|l| l.rsplit_once(' ').and_then(|(_, v)| v.parse::<f64>().ok()).unwrap()).sum()
+    };
+    for body in &bodies {
+        for (total, per_model) in [
+            ("cardest_tenant_cache_hit ", "cardest_model_cache_hits{"),
+            ("cardest_tenant_cache_miss ", "cardest_model_cache_misses{"),
+        ] {
+            assert_eq!(sum(body, total), 2.0, "{total}:\n{body}");
+            assert_eq!(sum(body, per_model), 2.0, "{per_model}:\n{body}");
+        }
+    }
     for prefix in [
         "cardest_serve_conns_",
         "cardest_serve_poller_",

@@ -14,13 +14,18 @@ use std::cell::RefCell;
 use ce_conformal::Regressor;
 use ce_nn::{
     segment_mean_backward_into, segment_mean_into, AdamConfig, Loss, Mlp, MlpConfig, Mse,
-    Pinball, Tape, TASK_FLOPS,
+    Pinball, Tape,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::featurize::{SingleTableFeaturizer, StarFeaturizer, BLOCK};
+
+/// Mul-adds per batch-forward task. On a 2-vCPU AVX-512 host the kernel
+/// runs 18–33 mul-adds per ns, so a task takes 8–14 µs: five times or more
+/// the 1.3–1.7 µs the pool needs to hand a task to a worker.
+const TASK_FLOPS: usize = 1 << 18;
 
 /// Which loss the output head trains with.
 #[derive(Debug, Clone, Copy, PartialEq)]

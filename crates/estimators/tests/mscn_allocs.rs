@@ -123,13 +123,12 @@ fn training_steps_allocate_nothing() {
     let x: Vec<Vec<f32>> = workload.iter().map(|lq| feat.encode(&lq.query)).collect();
     let y: Vec<f64> = workload.iter().map(|lq| lq.selectivity).collect();
     let layout = MscnLayout::Single(feat);
-    // One thread: a product split over the pool allocates its completion
-    // latch on the caller, so at more threads the count grows with the
-    // number of dispatches, not with anything training allocates.
+    // Two threads: a fit makes no pool dispatch, which would allocate a
+    // completion latch on the caller at every step.
     let fit_allocs = |epochs| {
         let config = MscnConfig { epochs, ..Default::default() };
         allocs_during(|| {
-            ce_parallel::with_threads(1, || {
+            ce_parallel::with_threads(2, || {
                 black_box(Mscn::fit(layout.clone(), &x, &y, &config));
             });
         })

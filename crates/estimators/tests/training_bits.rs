@@ -8,8 +8,8 @@
 //! step changes a pinned value. The values were computed by the training
 //! path that built each layer's backward from fresh transposed matrices,
 //! so they hold the tape-based path to the same bits. MSCN is trained at
-//! one and at three threads against the same value: products split over
-//! the pool must not change a bit.
+//! one and at three threads against the same value: the thread count must
+//! not change a bit.
 
 use ce_datagen::{dmv, dsb_star};
 use ce_estimators::{

@@ -113,8 +113,8 @@ impl Dense {
     }
 
     /// The training forward of the row-major `input` rows into `out`, one
-    /// row per input row, split over the pool as [`Dense::infer`] is and
-    /// bit-identical to it.
+    /// row per input row, timed as [`Dense::infer`] is and bit-identical to
+    /// it.
     pub(crate) fn forward_into(&self, input: &[f32], out: &mut [f32]) {
         let n = self.output_dim();
         let rhs = Rhs::new(self.weights.data(), n, self.weights.all_finite());

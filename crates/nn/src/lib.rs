@@ -6,14 +6,13 @@
 //! softmax/cross-entropy head for autoregressive (Naru-style) conditionals.
 //!
 //! Everything is CPU-only and `f32`. The mat-mul kernel is register-blocked,
-//! SIMD at the best level the host supports, and dispatched row-parallel on
-//! the `ce-parallel` pool, under a strict **determinism contract**: the same
-//! seed produces bit-identical weights and predictions at *any* thread count
-//! and kernel level, because every floating-point reduction keeps a single
-//! accumulator in fixed index order, with no fused multiply-add — SIMD lanes
-//! and threads only redistribute independent output elements. Thread
-//! count is set for the process by the `CE_PARALLEL_THREADS` env var, or
-//! scoped via `ce_parallel::with_threads`.
+//! SIMD at the best level the host supports, and runs each product on the
+//! calling thread; callers parallelize at coarser boundaries (fold fits,
+//! queries of a batch). It keeps a strict **determinism contract**: the
+//! same seed produces bit-identical weights and predictions at every kernel
+//! level, because every floating-point reduction keeps a single accumulator
+//! in fixed index order, with no fused multiply-add — SIMD lanes only
+//! redistribute independent output elements.
 //! See `DESIGN.md` ("Determinism contract") for the full argument.
 //!
 //! ```
@@ -47,7 +46,7 @@ pub use init::Init;
 pub use layer::{Activation, Dense};
 pub use loss::{Huber, LogQError, Loss, Mse, Pinball};
 pub use masked::{made_masks, MaskedCache, MaskedDense};
-pub use matrix::{matmul_kernel_level, Matrix, TASK_FLOPS};
+pub use matrix::{matmul_kernel_level, Matrix};
 pub use mlp::{Mlp, MlpConfig};
 pub use pooling::{segment_mean_backward_into, segment_mean_into};
 pub use softmax::{class_probability, softmax_cross_entropy, softmax_rows};

@@ -6,8 +6,9 @@
 //! micro-kernel: it keeps a block of output rows × a 16-wide column strip
 //! in registers over the whole reduction. Its one source is compiled for
 //! AVX-512, AVX2 and the build target's baseline; the level is picked once
-//! per process from the host's features, and blocks of output rows are
-//! dispatched in parallel on `ce-parallel`. `t_matmul` and `matmul_t`
+//! per process from the host's features. A product runs on the calling
+//! thread: callers that gain from more cores split their own work at coarse
+//! boundaries (fold fits, queries of a forward). `t_matmul` and `matmul_t`
 //! transpose their strided operand once and then run the same kernel. A
 //! dense layer's bias and activation are fused into the kernel's store:
 //! each register block's rows get them right after they are written, while
@@ -29,9 +30,8 @@
 //! Training runs the same kernel into caller-owned slices: [`gemm_into`]
 //! writes a product into a slice of a [`Tape`](crate::Tape) and
 //! [`transpose_into`] builds a transposed operand in the tape's buffer, so
-//! a training step makes the products `t_matmul` and `matmul_t` make,
-//! split over the pool the same way, without allocating their operands or
-//! outputs.
+//! a training step makes the products `t_matmul` and `matmul_t` make
+//! without allocating their operands or outputs.
 //!
 //! # Determinism
 //!
@@ -50,22 +50,12 @@
 //! but −0.0 returns it unchanged (a NaN stays the same NaN). Only `0 · ∞` and
 //! `0 · NaN` are not zero, hence the finiteness guard; a NaN on the left is
 //! not equal to zero and is never skipped. Results are therefore
-//! bit-identical at any thread count, at every kernel level, fused or not,
-//! and skipping or not (see `DESIGN.md`, "Determinism contract").
+//! bit-identical at every kernel level, fused or not, and skipping or not
+//! (see `DESIGN.md`, "Determinism contract").
 
 use std::sync::OnceLock;
 
-use ce_parallel::par_chunks_mut;
-
 use crate::layer::Activation;
-
-/// Mul-adds per parallel task. On a 2-vCPU AVX-512 host the kernel runs
-/// 18–33 mul-adds per ns, so a task takes 8–14 µs: five times or more the
-/// 1.3–1.7 µs the pool needs to hand a task to a worker. Products split
-/// their output rows by it; the MSCN serving forward instead cuts a batch at
-/// query boundaries into tasks of about this many mul-adds and runs each
-/// task's products serially, so an 8-query forward is one inline task.
-pub const TASK_FLOPS: usize = 1 << 18;
 
 /// Smallest product (in flops, `2·m·k·n`) whose throughput is published to
 /// the `nn.matmul_gflops` telemetry gauge while telemetry is enabled. The
@@ -73,7 +63,7 @@ pub const TASK_FLOPS: usize = 1 << 18;
 /// clear it (an 8-query MSCN layer is 40k–180k flops), so each of those
 /// reads the clock twice and stores to the gauge through a handle fetched
 /// once per process: no lock and no allocation after the first. Products
-/// run serially by [`gemm_rows`] are not timed: an MSCN forward runs three
+/// run by [`gemm_rows`] are not timed: an MSCN forward runs three
 /// or four of them per task, and per-task clock reads and gauge stores
 /// from every worker would cost the serving path more than the gauge is
 /// worth. Every product that goes through [`gemm_into`] is timed: the
@@ -84,15 +74,6 @@ const MATMUL_GAUGE_MIN_FLOPS: f64 = 32_768.0;
 /// Output columns in one register strip: one AVX-512 vector, two AVX2
 /// vectors.
 const NR: usize = 16;
-
-/// Largest register block, in output rows; parallel tasks get a multiple
-/// of it so only the last task has a ragged block.
-const MR_MAX: usize = 8;
-
-/// Rows of output handled by one parallel task; pure shape arithmetic.
-fn rows_per_task(flops_per_row: usize) -> usize {
-    TASK_FLOPS.div_ceil(flops_per_row.max(1)).next_multiple_of(MR_MAX)
-}
 
 /// The `nn.matmul_gflops` gauge, fetched from the registry once. A later
 /// `Registry::reset` detaches the handle, so the gauge then stops exporting
@@ -317,8 +298,12 @@ impl NonZero for Avx2 {
 }
 
 /// `out = act(a · b + bias)` at `level`, for row-major `a` (`out.len() / n`
-/// rows × `k`) and the right-hand side `rhs`. Every element of `out` is
-/// overwritten.
+/// rows × `k`) and the right-hand side `rhs`, on the calling thread. Every
+/// element of `out` is overwritten.
+///
+/// # Panics
+/// Panics if the operands do not hold `out`'s rows × `k` and `k × n` values,
+/// or on a bias of the wrong length.
 fn gemm_at(level: Level, a: &[f32], k: usize, rhs: Rhs, out: &mut [f32]) {
     // A cached feature read, negligible next to a product; it keeps a level
     // the host lacks from reaching the `unsafe` calls in a release build.
@@ -329,6 +314,8 @@ fn gemm_at(level: Level, a: &[f32], k: usize, rhs: Rhs, out: &mut [f32]) {
     if out.is_empty() {
         return;
     }
+    assert_eq!(a.len(), out.len() / n * k, "left operand holds {} values", a.len());
+    assert_eq!(rhs.b.len(), k * n, "right operand holds {} values for {k}x{n}", rhs.b.len());
     match level {
         // SAFETY: the assert above saw the feature on this host.
         #[cfg(target_arch = "x86_64")]
@@ -633,9 +620,9 @@ fn strip<const MR: usize, const W: usize>(
 
 /// `out = act(input · weights + bias)` on the calling thread, for the
 /// row-major `input` rows (`out.len() / weights.cols()` of them): the
-/// kernel and fused store of [`Matrix::matmul_bias_act`] without the pool,
-/// for callers that already split their work into tasks. Every element of
-/// `out` is overwritten.
+/// kernel and fused store of [`Matrix::matmul_bias_act`] without its
+/// `nn.matmul_gflops` timing, for the serving forward's per-task products.
+/// Every element of `out` is overwritten.
 ///
 /// # Panics
 /// Panics if `input` and `out` do not hold the same number of rows, or on a
@@ -648,35 +635,15 @@ pub(crate) fn gemm_rows(
     out: &mut [f32],
 ) {
     let (k, n) = (weights.rows, weights.cols);
-    let rows = out.len() / n.max(1);
-    assert_eq!(input.len(), rows * k, "input holds {} values for {rows} rows of {k}", input.len());
     let rhs = Rhs::new(&weights.data, n, weights.all_finite()).then(bias, act);
     gemm_at(Level::detected(), input, k, rhs, out);
 }
 
-/// `out = act(a · b + bias)` at `level` for row-major `a` (`out.len() / n`
-/// rows × `k`) and the right-hand side `rhs`, with the rows of `out` split
-/// over the pool in tasks of [`rows_per_task`] rows. Every element of `out`
-/// is overwritten.
-fn gemm_par_at(level: Level, a: &[f32], k: usize, rhs: Rhs, out: &mut [f32]) {
-    if out.is_empty() {
-        return;
-    }
-    let n = rhs.n;
-    assert_eq!(a.len(), out.len() / n * k, "left operand holds {} values", a.len());
-    assert_eq!(rhs.b.len(), k * n, "right operand holds {} values for {k}x{n}", rhs.b.len());
-    let block = rows_per_task(k * n);
-    par_chunks_mut(out, block * n, |blk, out_block| {
-        let a = &a[blk * block * k..][..out_block.len() / n * k];
-        gemm_at(level, a, k, rhs, out_block);
-    });
-}
-
 /// `out = act(a · b + bias)` for row-major `a` (`out.len() / n` rows × `k`)
 /// and the right-hand side `rhs` (`b` of `k × n`) at the host's kernel
-/// level, split over the pool as [`Matrix::matmul`] is, and timed into the
-/// `nn.matmul_gflops` gauge while telemetry is enabled (see
-/// [`MATMUL_GAUGE_MIN_FLOPS`]). Every element of `out` is overwritten.
+/// level, timed into the `nn.matmul_gflops` gauge while telemetry is
+/// enabled (see [`MATMUL_GAUGE_MIN_FLOPS`]). Every element of `out` is
+/// overwritten.
 ///
 /// # Panics
 /// Panics if the operands do not hold `out`'s rows × `k` and `k × n` values,
@@ -685,7 +652,7 @@ pub(crate) fn gemm_into(a: &[f32], k: usize, rhs: Rhs, out: &mut [f32]) {
     let flops = 2.0 * out.len() as f64 * k as f64;
     let timed = ce_telemetry::enabled() && flops >= MATMUL_GAUGE_MIN_FLOPS;
     let start = timed.then(std::time::Instant::now);
-    gemm_par_at(Level::detected(), a, k, rhs, out);
+    gemm_at(Level::detected(), a, k, rhs, out);
     if let Some(start) = start {
         let secs = start.elapsed().as_secs_f64();
         if secs > 0.0 {
@@ -859,10 +826,9 @@ impl Matrix {
 
     /// Matrix product `self * other`.
     ///
-    /// Runs the register-blocked kernel (see the module docs) over blocks of
-    /// output rows in parallel. Every output element accumulates in fixed `k`
-    /// order, so results are bit-identical at any thread count and kernel
-    /// level. Exact-zero terms of `self` are skipped only while every value
+    /// Runs the register-blocked kernel (see the module docs) on the calling
+    /// thread. Every output element accumulates in fixed `k` order, so
+    /// results are bit-identical at every kernel level. Exact-zero terms of `self` are skipped only while every value
     /// of `other` is finite: `0.0 * NaN` must yield `NaN` (IEEE 754), so
     /// non-finite weights surface instead of being silently masked.
     ///
@@ -875,8 +841,7 @@ impl Matrix {
     /// `act(self * other + bias)`: a dense layer's forward, with the bias
     /// and activation fused into the kernel's store (an empty `bias` adds
     /// nothing, so a plain product passes `&[]` and
-    /// [`Activation::Identity`]). Runs in parallel as [`Matrix::matmul`]
-    /// does.
+    /// [`Activation::Identity`]).
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch or a bias of the wrong length.
@@ -904,7 +869,7 @@ impl Matrix {
         self.check_matmul(other);
         let mut out = Matrix::zeros(self.rows, other.cols);
         let rhs = Rhs::new(&other.data, other.cols, other.all_finite()).then(bias, act);
-        gemm_par_at(level, &self.data, self.cols, rhs, &mut out.data);
+        gemm_at(level, &self.data, self.cols, rhs, &mut out.data);
         out
     }
 
@@ -1243,7 +1208,7 @@ mod tests {
                         }
                     }
                 }
-                // The pool-free entry point the MSCN forward runs.
+                // The untimed entry point the MSCN forward runs.
                 for act in acts {
                     let mut got = vec![f32::NAN; m * n];
                     gemm_rows(a.data(), &b, &bias, act, &mut got);
@@ -1391,15 +1356,6 @@ mod tests {
             let got = a.matmul_at(level, &b, &[], Activation::Identity);
             assert!(got.data().iter().all(|v| v.to_bits() == 0), "{level:?}");
         }
-    }
-
-    #[test]
-    fn matmul_is_bit_identical_across_thread_counts() {
-        let a = Matrix::from_vec(64, 96, (0..64 * 96).map(|i| (i as f32).sin()).collect());
-        let b = Matrix::from_vec(96, 48, (0..96 * 48).map(|i| (i as f32).cos()).collect());
-        let serial = ce_parallel::with_threads(1, || a.matmul(&b));
-        let parallel = ce_parallel::with_threads(4, || a.matmul(&b));
-        assert_eq!(serial, parallel);
     }
 
     #[test]

@@ -79,8 +79,7 @@ impl Mlp {
         tape.forward(&self.layers)
     }
 
-    /// Inference-only forward pass. Each product splits its output rows
-    /// over the `ce-parallel` pool when it is large enough.
+    /// Inference-only forward pass, on the calling thread.
     pub fn infer(&self, input: &Matrix) -> Matrix {
         let (first, rest) = self.layers.split_first().expect("mlp has at least one layer");
         rest.iter().fold(first.infer(input), |x, layer| layer.infer(&x))

@@ -1,6 +1,8 @@
-//! With telemetry enabled, a serving-sized product allocates exactly its
-//! output: the throughput gauge is recorded through a handle fetched once,
-//! not looked up by name on every call.
+//! With telemetry enabled, a product allocates exactly its output: the
+//! throughput gauge is recorded through a handle fetched once, not looked
+//! up by name on every call, and a product runs on the calling thread
+//! whatever thread count the process asks for, so it makes no pool
+//! dispatch and no completion latch.
 //!
 //! A std-only counting `#[global_allocator]` counts allocations made on the
 //! calling thread (the test harness allocates on its own threads).
@@ -57,20 +59,27 @@ fn allocs_during(f: impl FnOnce()) -> usize {
 
 #[test]
 fn timed_serving_product_allocates_only_its_output() {
-    // The MSCN top network's hidden layer at a batch of 8: 66 560 flops,
-    // above the gauge's floor, so the product is timed.
-    let a = Matrix::from_vec(8, 65, (0..8 * 65).map(|i| (i % 7) as f32 * 0.1).collect());
-    let b = Matrix::from_vec(65, 64, (0..65 * 64).map(|i| (i % 13) as f32 * 0.01).collect());
+    // Two threads, asked for as a deployment asks, before any product runs:
+    // a product runs on the calling thread whatever the process's count.
+    std::env::set_var("CE_PARALLEL_THREADS", "2");
     ce_telemetry::set_enabled(true);
-    // Warm-up: resolves the once-per-process kernel level, gauge handle and
-    // thread count.
-    std::hint::black_box(a.matmul(&b));
+    // The MSCN top network's hidden layer at a batch of 8 (66 560 flops,
+    // above the gauge's floor, so the product is timed) and of 256, which a
+    // row-split dispatch at two threads would cut into four tasks, with a
+    // completion latch allocated on the caller.
+    let b = Matrix::from_vec(65, 64, (0..65 * 64).map(|i| (i % 13) as f32 * 0.01).collect());
+    for rows in [8, 256] {
+        let a = Matrix::from_vec(rows, 65, (0..rows * 65).map(|i| (i % 7) as f32 * 0.1).collect());
+        // Warm-up: resolves the once-per-process kernel level and gauge
+        // handle.
+        std::hint::black_box(a.matmul(&b));
 
-    for _ in 0..100 {
-        let allocs = allocs_during(|| {
-            std::hint::black_box(a.matmul(std::hint::black_box(&b)));
-        });
-        assert_eq!(allocs, 1, "a timed (8x65)·(65x64) matmul allocated {allocs} times");
+        for _ in 0..100 {
+            let allocs = allocs_during(|| {
+                std::hint::black_box(a.matmul(std::hint::black_box(&b)));
+            });
+            assert_eq!(allocs, 1, "a timed ({rows}x65)·(65x64) matmul allocated {allocs} times");
+        }
     }
     let gauge = ce_telemetry::global().snapshot().remove("nn.matmul_gflops");
     assert!(

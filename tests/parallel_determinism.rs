@@ -1,6 +1,6 @@
 //! Property tests for the determinism contract of the parallel execution
-//! layer: every parallelized path — blocked matmul kernels, K-fold
-//! resampling fits, batched PI serving, fold assignment — must produce
+//! layer: every parallelized path — K-fold resampling fits, batched PI
+//! serving, fold assignment — and the matmul kernels they run must produce
 //! bit-identical results at any requested thread count (see DESIGN.md,
 //! "Determinism contract").
 
@@ -35,7 +35,8 @@ fn bits(m: &Matrix) -> Vec<u32> {
 
 proptest! {
     /// All three blocked kernels are bit-identical at 1 vs 4 threads for
-    /// arbitrary shapes (including ones straddling the K-tile boundary).
+    /// arbitrary shapes. Products run on the calling thread; this guards
+    /// against a dispatch inside them returning and changing a bit.
     #[test]
     fn matmul_kernels_are_thread_count_invariant(
         m in 1usize..10,

@@ -241,9 +241,9 @@ pub fn obs(scale: &Scale) -> Vec<ExperimentRecord> {
     let json = ce_telemetry::global().to_json();
     let prom = ce_telemetry::global().to_prometheus();
     let exports_ok = json.contains("span.pi_batch")
-        && json.contains("monitor.coverage")
+        && json.contains("monitor.observed")
         && prom.contains("cardest_span_pi_batch_count")
-        && prom.contains("cardest_monitor_coverage");
+        && prom.contains("cardest_monitor_observed");
     assert!(exports_ok, "telemetry exports missing expected serving metrics");
     rec.extra("exports_ok", 1.0);
     rec.extra("telemetry_json_bytes", json.len() as f64);

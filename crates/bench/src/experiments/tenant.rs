@@ -449,13 +449,16 @@ pub fn tenant(scale: &Scale) -> Vec<ExperimentRecord> {
         cache_speedup, miss_us, hot_us
     );
 
-    // Labeled series reached /metrics before the first server drains.
+    // Labeled series reached /metrics before the first server drains,
+    // each model's chain facts under its own label.
     let metrics = probe.get("/metrics").expect("GET /metrics");
     let metrics_text = String::from_utf8_lossy(&metrics.body).to_string();
     let labeled_metrics_ok = metrics.status == 200
         && metrics_text.contains("cardest_model_reloads{model=\"default\"}")
         && metrics_text.contains("cardest_model_cache_hits{model=\"default\"}")
-        && metrics_text.contains("cardest_model_observations{model=\"alt\"}");
+        && metrics_text.contains("cardest_model_observations{model=\"alt\"}")
+        && metrics_text.contains("cardest_model_queries{model=\"alt\"}")
+        && metrics_text.contains("cardest_model_breakers_open{model=\"default\"}");
     assert!(labeled_metrics_ok, "model-labeled metrics series missing");
     rec.extra("labeled_metrics_ok", 1.0);
     handle.drain();

@@ -364,7 +364,6 @@ impl<M: Regressor, S: ScoreFunction> SelfHealingService<M, S> {
                         "coverage_alarm",
                         &format!("coverage {:.4}", self.service.coverage_monitor().coverage()),
                     );
-                    self.publish_state();
                 }
             }
             HealState::Recalibrating => {
@@ -381,7 +380,6 @@ impl<M: Regressor, S: ScoreFunction> SelfHealingService<M, S> {
                 if self.observations >= self.cooldown_until {
                     self.state = HealState::Healthy;
                     ce_telemetry::counter("heal.cooldown_elapsed").inc();
-                    self.publish_state();
                 }
             }
         }
@@ -445,7 +443,6 @@ impl<M: Regressor, S: ScoreFunction> SelfHealingService<M, S> {
             );
         }
         self.gathered.clear();
-        self.publish_state();
     }
 
     fn push_event(&mut self, event: HealEvent) {
@@ -454,15 +451,6 @@ impl<M: Regressor, S: ScoreFunction> SelfHealingService<M, S> {
             let excess = self.history.len() - Self::HISTORY_CAP;
             self.history.drain(..excess);
         }
-    }
-
-    fn publish_state(&self) {
-        if !ce_telemetry::enabled() {
-            return;
-        }
-        ce_telemetry::gauge("heal.state").set(f64::from(self.state as u8));
-        ce_telemetry::gauge("heal.rollbacks").set(self.rollbacks as f64);
-        ce_telemetry::gauge("heal.promotions").set(self.promotions as f64);
     }
 
     /// Extracts the healing layer's checkpointable state.

@@ -123,7 +123,9 @@ impl CoverageMonitor {
         }
         self.observed_total += 1;
         self.update_alarm();
-        self.publish_telemetry();
+        if ce_telemetry::enabled() {
+            ce_telemetry::counter("monitor.observed").inc();
+        }
     }
 
     /// Convenience form of [`CoverageMonitor::observe`] taking the served
@@ -153,15 +155,6 @@ impl CoverageMonitor {
                 }
             }
         }
-    }
-
-    fn publish_telemetry(&self) {
-        if !ce_telemetry::enabled() {
-            return;
-        }
-        ce_telemetry::gauge("monitor.coverage").set(self.coverage());
-        ce_telemetry::gauge("monitor.drift_active").set(u64::from(self.alarm.is_some()) as f64);
-        ce_telemetry::counter("monitor.observed").inc();
     }
 
     /// Rolling empirical coverage over the window, always in `[0, 1]`.

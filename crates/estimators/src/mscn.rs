@@ -367,7 +367,7 @@ impl Mscn {
 
     /// Predicted log-selectivities for a whole batch of encoded queries. The
     /// batch is cut at query boundaries into tasks of a query count derived
-    /// from the model's shape (about [`TASK_FLOPS`] mul-adds each, and at
+    /// from the model's shape (about `TASK_FLOPS`, 2¹⁸, mul-adds each, and at
     /// least 8 queries), dispatched once over the `ce-parallel` pool; a
     /// batch that fits one task runs inline on the caller. Each task packs
     /// its queries' predicate rows into one flat buffer, runs the predicate

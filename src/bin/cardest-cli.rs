@@ -341,8 +341,8 @@ fn run_stats(opts: StatsOptions) {
 
     // Self-healing remediation demo: a calm warm-up, then a drifted phase
     // whose alarm drives the recalibration state machine. With telemetry
-    // enabled the heal.* gauges and counters land in the registry, so the
-    // json/prom exports carry the remediation surface too.
+    // enabled the heal.* counters land in the registry, so the json/prom
+    // exports carry the remediation surface too.
     eprintln!("streaming drift through the self-healing layer ...");
     let mut healing = SelfHealingService::new(
         heal_model,

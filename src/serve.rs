@@ -24,9 +24,12 @@
 //!   router-minted `x-ce-truth-id` header (bounded id memory), so fan-out
 //!   overlap and hedge duplicates cannot double-count an observation.
 //! - `GET /metrics` — one Prometheus exposition, with telemetry on or off:
-//!   the `ce-telemetry` registry plus the stats the process owns (server
-//!   connections and poller, batchers, cache, per-model and per-tenant
-//!   series), rendered from their structs.
+//!   the `ce-telemetry` registry (process facts only) plus the stats the
+//!   process owns (server connections and poller, batchers, cache,
+//!   per-model and per-tenant series), rendered from their structs. Each
+//!   model's chain facts (heal state and counts, rolling coverage, drift
+//!   alarm, resilience counters, open breakers) come from its engine's
+//!   snapshot, so a scrape never waits on a running batch.
 //! - `GET /debug/trace` — JSON snapshot of the flight recorder: the last
 //!   traced requests with per-stage latency attribution plus structured
 //!   events (DESIGN.md §13).
@@ -59,13 +62,13 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::conformal::{
     BreakerSnapshot, BreakerState, CardEstError, Checkpoint, HealConfig, HealState,
-    PiEstimator, PredictionInterval, Regressor, ResilienceStats, ResilientService,
-    ScoreFunction, SelfHealingService, ServiceMode,
+    PiEstimator, PredictionInterval, Regressor, ResilientService, ScoreFunction,
+    SelfHealingService, ServiceMode,
 };
 use ce_server::{BatcherStats, HttpServer, Response, ServerStats};
 use ce_telemetry::trace;
@@ -77,22 +80,61 @@ pub type BatchResults = Vec<Result<PredictionInterval, CardEstError>>;
 /// the resilient wrapper.
 type Chain<M, S> = ResilientService<SelfHealingService<M, S>>;
 
-/// The self-healing layer's state as of the last change to it, copied out
-/// of the chain so readers outside it (readiness, metrics, the CLI) never
-/// wait on a running batch.
+/// The engine's facts as of the last call into its chain, copied out so
+/// readers outside it (readiness, `/metrics`, the CLI) never wait on a
+/// running batch. Every field is a fixed-size value: republishing it
+/// allocates nothing.
 #[derive(Debug, Clone, Copy)]
-struct HealSnapshot {
-    mode: ServiceMode,
-    state: HealState,
-    observations: u64,
+pub(crate) struct EngineSnapshot {
+    pub(crate) mode: ServiceMode,
+    pub(crate) state: HealState,
+    pub(crate) observations: u64,
+    pub(crate) promotions: u64,
+    pub(crate) rollbacks: u64,
+    /// The coverage monitor's rolling coverage and whether its drift alarm
+    /// is active.
+    pub(crate) coverage: f64,
+    pub(crate) drift_active: bool,
+    /// The chain's `ResilienceStats` counters.
+    pub(crate) queries: u64,
+    pub(crate) answered: u64,
+    pub(crate) floor_served: u64,
+    pub(crate) rejected_inputs: u64,
+    pub(crate) panics_caught: u64,
+    pub(crate) estimator_failures: u64,
+    pub(crate) breaker_trips: u64,
+    /// Queries answered by a fallback: `served_by[1..]` summed.
+    pub(crate) fallback_served: u64,
+    /// Breakers not `Closed`.
+    pub(crate) breakers_open: u64,
 }
 
-impl HealSnapshot {
-    fn of<M: Regressor, S: ScoreFunction>(healing: &SelfHealingService<M, S>) -> HealSnapshot {
-        HealSnapshot {
+impl EngineSnapshot {
+    fn of<M, S>(chain: &Chain<M, S>) -> EngineSnapshot
+    where
+        M: Regressor + Send + Sync,
+        S: ScoreFunction + Send + Sync,
+    {
+        let healing = chain.primary();
+        let monitor = healing.service().coverage_monitor();
+        let stats = chain.stats();
+        EngineSnapshot {
             mode: healing.service().mode(),
             state: healing.state(),
             observations: healing.observations(),
+            promotions: healing.promotion_count(),
+            rollbacks: healing.rollback_count(),
+            coverage: monitor.coverage(),
+            drift_active: monitor.drift().is_some(),
+            queries: stats.queries,
+            answered: stats.answered,
+            floor_served: stats.floor_served,
+            rejected_inputs: stats.rejected_inputs,
+            panics_caught: stats.panics_caught,
+            estimator_failures: stats.estimator_failures,
+            breaker_trips: stats.breaker_trips,
+            fallback_served: stats.served_by.iter().skip(1).sum(),
+            breakers_open: breakers_open(chain),
         }
     }
 }
@@ -100,12 +142,13 @@ impl HealSnapshot {
 /// The serving engine: the self-healing primary behind the resilient chain,
 /// with full-chain checkpointing.
 ///
-/// Every call into the chain holds one mutex. The heal snapshot sits behind
-/// a leaf lock that is only ever held to copy the snapshot in or out.
+/// Every call into the chain holds one mutex. The engine snapshot sits
+/// behind a leaf lock that is only ever held to copy the snapshot in or out.
 pub struct ServeEngine<M, S> {
     resilient: Mutex<Chain<M, S>>,
-    /// Republished with every generation (see `renew_generation`).
-    heal: Mutex<HealSnapshot>,
+    /// Republished at the end of every call that changes the chain (see
+    /// `publish`).
+    snapshot: Mutex<EngineSnapshot>,
     /// Fixed at construction: neither the heal config nor the wrapped
     /// service's α ever changes afterwards.
     heal_config: HealConfig,
@@ -136,11 +179,12 @@ pub struct BatchStamp {
 /// share a value.
 static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
 
-/// Whether every chain breaker is `Closed`. Only then does a batch admit
-/// every estimator whatever the query counter says, so its results depend
-/// on calibration state alone.
-fn breakers_closed<P: PiEstimator>(resilient: &ResilientService<P>) -> bool {
-    (0..).map_while(|p| resilient.breaker_state(p)).all(|s| s == BreakerState::Closed)
+/// The number of chain breakers not `Closed`. Only while there are none
+/// does a batch admit every estimator whatever the query counter says, so
+/// its results depend on calibration state alone.
+fn breakers_open<P: PiEstimator>(resilient: &ResilientService<P>) -> u64 {
+    let states = (0..).map_while(|p| resilient.breaker_state(p));
+    states.filter(|&s| s != BreakerState::Closed).count() as u64
 }
 
 /// Bounded memory of recently seen truth-post IDs (`x-ce-truth-id`). A
@@ -193,7 +237,6 @@ where
         fallbacks: Vec<Box<dyn PiEstimator>>,
         expected_dims: usize,
     ) -> Self {
-        let heal = Mutex::new(HealSnapshot::of(&healing));
         let heal_config = healing.heal_config();
         let alpha = healing.service().config().alpha;
         let mut resilient = ResilientService::new(healing)
@@ -203,8 +246,8 @@ where
             resilient = resilient.with_fallback(fallback);
         }
         ServeEngine {
+            snapshot: Mutex::new(EngineSnapshot::of(&resilient)),
             resilient: Mutex::new(resilient),
-            heal,
             heal_config,
             alpha,
             truth_dedupe: Mutex::new(TruthDedupe::new()),
@@ -216,19 +259,28 @@ where
         self.resilient.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn heal(&self) -> HealSnapshot {
-        *self.heal.lock().unwrap_or_else(|e| e.into_inner())
+    /// The engine's facts as of the last call into its chain, without
+    /// waiting on a running one.
+    pub(crate) fn snapshot(&self) -> EngineSnapshot {
+        *self.snapshot.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Takes a fresh serving generation and republishes the heal snapshot.
-    /// The chain guard is the proof that the caller holds the mutex every
-    /// batch stamps under; as it is held across the whole state change,
-    /// renewing the generation before or after the change is the same to
-    /// every reader. The snapshot is copied from the primary here, so a
-    /// change to the healing state must come before the renewal.
-    fn renew_generation(&self, chain: &MutexGuard<'_, Chain<M, S>>) {
+    /// Copies the chain's facts into the snapshot and returns them. Called
+    /// under the chain guard, after the change, at the end of every call
+    /// that changes the chain, so a reading is never staler than the call
+    /// still holding it.
+    fn publish(&self, chain: &MutexGuard<'_, Chain<M, S>>) -> EngineSnapshot {
+        let snapshot = EngineSnapshot::of(chain);
+        *self.snapshot.lock().unwrap_or_else(|e| e.into_inner()) = snapshot;
+        snapshot
+    }
+
+    /// Takes a fresh serving generation. The chain guard is the proof that
+    /// the caller holds the mutex every batch stamps under; as it is held
+    /// across the whole state change, renewing the generation before or
+    /// after the change is the same to every reader.
+    fn renew_generation(&self, _chain: &MutexGuard<'_, Chain<M, S>>) {
         self.generation.store(NEXT_GENERATION.fetch_add(1, Ordering::Relaxed), Ordering::SeqCst);
-        *self.heal.lock().unwrap_or_else(|e| e.into_inner()) = HealSnapshot::of(chain.primary());
     }
 
     /// Serves a batch through the full resilient chain (breakers, fallbacks,
@@ -245,14 +297,15 @@ where
     /// batches serve.
     pub fn predict_batch_stamped(&self, queries: &[Vec<f32>]) -> (BatchResults, BatchStamp) {
         let mut resilient = self.resilient();
-        let closed_before = breakers_closed(&resilient);
+        let closed_before = breakers_open(&resilient) == 0;
         let results = resilient.predict_interval_batch(queries);
-        let generation = (closed_before && breakers_closed(&resilient)).then(|| self.generation());
+        let snapshot = self.publish(&resilient);
+        let generation =
+            (closed_before && snapshot.breakers_open == 0).then(|| self.generation());
         if generation.is_none() {
             self.renew_generation(&resilient);
         }
-        let mode = resilient.primary().service().mode();
-        (results, BatchStamp { generation, mode })
+        (results, BatchStamp { generation, mode: snapshot.mode })
     }
 
     /// Feeds one executed query's truth to every chain entry — the primary's
@@ -262,6 +315,7 @@ where
         let mut resilient = self.resilient();
         resilient.observe(features, y_true);
         self.renew_generation(&resilient);
+        self.publish(&resilient);
     }
 
     /// The serving generation (see the field docs).
@@ -291,17 +345,17 @@ where
 
     /// Serving mode of the wrapped [`crate::conformal::PiService`].
     pub fn mode(&self) -> ServiceMode {
-        self.heal().mode
+        self.snapshot().mode
     }
 
     /// Remediation state of the self-healing layer.
     pub fn heal_state(&self) -> HealState {
-        self.heal().state
+        self.snapshot().state
     }
 
     /// Total truths absorbed by the self-healing layer.
     pub fn observations(&self) -> u64 {
-        self.heal().observations
+        self.snapshot().observations
     }
 
     /// Full-chain checkpoint: the self-healing service state plus every
@@ -318,7 +372,9 @@ where
     pub fn restore_breakers(&self, snapshots: &[BreakerSnapshot]) -> Result<(), CardEstError> {
         let mut resilient = self.resilient();
         self.renew_generation(&resilient);
-        resilient.restore_breakers(snapshots)
+        let restored = resilient.restore_breakers(snapshots);
+        self.publish(&resilient);
+        restored
     }
 
     /// The healing layer's remediation tuning (the reload validator reuses
@@ -330,27 +386,6 @@ where
     /// The wrapped service's miscoverage target α.
     pub fn alpha(&self) -> f64 {
         self.alpha
-    }
-
-    /// Resilience counters (copied out; the chain lock is released before
-    /// returning).
-    pub fn resilience_stats(&self) -> ResilienceStats {
-        self.resilient().stats().clone()
-    }
-
-    /// Mirrors the chain's `resilient.*` gauges into the telemetry
-    /// registry. A scrape never waits on the chain: while a batch or an
-    /// observation holds it, the gauges keep their last reading.
-    pub fn publish_metrics(&self) {
-        if !ce_telemetry::enabled() {
-            return;
-        }
-        let resilient = match self.resilient.try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(TryLockError::WouldBlock) => return,
-        };
-        resilient.publish_telemetry();
     }
 }
 

@@ -1004,21 +1004,17 @@ where
 }
 
 /// `GET /metrics`: one Prometheus exposition with telemetry on or off. The
-/// global registry adds its families; the stats this process owns (server
-/// connections and poller, the batchers, the cache, and the
-/// `model="…"`- and `tenant="…"`-labeled series) render straight from
-/// their structs.
+/// global registry adds its families, which hold process facts only; the
+/// stats this process owns (server connections and poller, the batchers,
+/// the cache, and the `model="…"`- and `tenant="…"`-labeled series) render
+/// straight from their structs. Every per-model fact is labeled with its
+/// model and read from its engine's snapshot, so no scrape waits on a
+/// chain.
 fn metrics<M, S>(registry: &ModelRegistry<M, S>, probe: &OnceLock<ServerStatsProbe>) -> Response
 where
     M: Regressor + Send + Sync + 'static,
     S: ScoreFunction + Send + Sync + 'static,
 {
-    // The chain's `resilient.*` gauges track the default model (bare-endpoint
-    // compatibility); per-model truth lives in the labeled series below.
-    let first = || registry.names().first().and_then(|name| registry.entry(name));
-    if let Some(entry) = registry.entry(DEFAULT_MODEL).or_else(first) {
-        entry.engine().publish_metrics();
-    }
     let mut out = Exposition::default();
     out.registry(ce_telemetry::global());
     let server = probe.get().map(ServerStatsProbe::stats).unwrap_or_default();
@@ -1054,7 +1050,9 @@ where
         .body(out.finish())
 }
 
-/// Per-model series with `model="…"` labels.
+/// Per-model series with `model="…"` labels: the entry's own counters and
+/// one snapshot of its engine's chain (heal state and counts, coverage
+/// monitor, resilience counters, breakers).
 fn model_series<M, S>(out: &mut Exposition, registry: &ModelRegistry<M, S>)
 where
     M: Regressor + Send + Sync + 'static,
@@ -1063,9 +1061,11 @@ where
     let entries: Vec<Arc<ModelEntry<M, S>>> = registry.models_read().values().cloned().collect();
     for entry in entries {
         let engine = entry.engine();
+        let chain = engine.snapshot();
         let batch = entry.batcher.stats();
+        let model = [("model", entry.name.as_str())];
         for (name, value) in [
-            ("model_observations", engine.observations()),
+            ("model_observations", chain.observations),
             ("model_generation", engine.generation()),
             ("model_reloads", entry.reloads()),
             ("model_reload_rejects", entry.reload_rejects()),
@@ -1074,11 +1074,24 @@ where
             ("model_replay_len", entry.replay_len() as u64),
             ("model_batch_admitted", batch.admitted),
             ("model_batch_shed", batch.shed),
-            ("model_heal_state", engine.heal_state() as u64),
-            ("model_mode_drifted", u64::from(engine.mode() == ServiceMode::Drifted)),
+            ("model_heal_state", chain.state as u64),
+            ("model_mode_drifted", u64::from(chain.mode == ServiceMode::Drifted)),
+            ("model_promotions", chain.promotions),
+            ("model_rollbacks", chain.rollbacks),
+            ("model_drift_active", u64::from(chain.drift_active)),
+            ("model_queries", chain.queries),
+            ("model_answered", chain.answered),
+            ("model_fallback_served", chain.fallback_served),
+            ("model_floor_served", chain.floor_served),
+            ("model_rejected_inputs", chain.rejected_inputs),
+            ("model_panics_caught", chain.panics_caught),
+            ("model_estimator_failures", chain.estimator_failures),
+            ("model_breaker_trips", chain.breaker_trips),
+            ("model_breakers_open", chain.breakers_open),
         ] {
-            out.gauge(name, &[("model", &entry.name)], value);
+            out.gauge(name, &model, value);
         }
+        out.gauge_f64("model_coverage", &model, chain.coverage);
     }
 }
 
@@ -1500,8 +1513,22 @@ mod tests {
         let metrics = get("/metrics");
         assert_eq!(metrics.status, 200);
         let metrics = String::from_utf8_lossy(&metrics.body).into_owned();
-        assert!(metrics.contains("cardest_model_observations{model=\"default\"} 0"), "{metrics}");
-        assert!(metrics.contains("cardest_model_heal_state{model=\"default\"} 0"), "{metrics}");
+        // The chain's facts leave through the snapshot, not the parked chain.
+        for series in [
+            "cardest_model_observations{model=\"default\"} 0",
+            "cardest_model_heal_state{model=\"default\"} 0",
+            "cardest_model_queries{model=\"default\"} 0",
+            "cardest_model_fallback_served{model=\"default\"} 0",
+            "cardest_model_panics_caught{model=\"default\"} 0",
+            "cardest_model_breaker_trips{model=\"default\"} 0",
+            "cardest_model_breakers_open{model=\"default\"} 0",
+            "cardest_model_promotions{model=\"default\"} 0",
+            "cardest_model_rollbacks{model=\"default\"} 0",
+            "cardest_model_drift_active{model=\"default\"} 0",
+            "cardest_model_coverage{model=\"default\"} 1.0",
+        ] {
+            assert!(metrics.contains(series), "missing {series}:\n{metrics}");
+        }
         let read = |what: &str, f: fn(&ServeEngine<_, AbsoluteResidual>) -> String| {
             let engine = Arc::clone(&engine);
             within(what, move || f(&engine))
@@ -1516,6 +1543,30 @@ mod tests {
 
         gate.release();
         assert_eq!(parked.join().expect("parked predict").status, 200);
+        registry.shutdown_batchers();
+    }
+
+    /// A batch that renews no generation still republishes the snapshot:
+    /// the chain's counters are current after it, with telemetry off.
+    #[test]
+    fn chain_counters_are_current_after_a_closed_breaker_batch() {
+        assert!(!ce_telemetry::enabled(), "no library test enables telemetry");
+        let registry = ModelRegistry::new(tuning());
+        let entry = registry.register(DEFAULT_MODEL, engine());
+        let generation = entry.engine().generation();
+        let queries: Vec<Vec<f32>> = (0..8).map(|i| vec![i as f32]).collect();
+        let (_, stamp) = entry.engine().predict_batch_stamped(&queries);
+        assert_eq!(stamp.generation, Some(generation), "a closed-breaker batch keeps it");
+        let metrics = request(&registry, "GET", "/metrics", &[], b"");
+        let metrics = String::from_utf8_lossy(&metrics.body).into_owned();
+        for series in [
+            "cardest_model_queries{model=\"default\"} 8",
+            "cardest_model_answered{model=\"default\"} 8",
+            "cardest_model_fallback_served{model=\"default\"} 0",
+            "cardest_model_breakers_open{model=\"default\"} 0",
+        ] {
+            assert!(metrics.contains(series), "missing {series}:\n{metrics}");
+        }
         registry.shutdown_batchers();
     }
 

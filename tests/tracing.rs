@@ -8,11 +8,12 @@
 //! design (one flight recorder per process), so every test here serializes
 //! on a local mutex and resets the subsystem before touching it.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use cardest::conformal::{
-    AbsoluteResidual, BreakerConfig, HealConfig, OnlineConformal, PiServiceConfig,
+    AbsoluteResidual, BreakerConfig, HealConfig, HealState, OnlineConformal, PiServiceConfig,
     ResilientService, SelfHealingService,
 };
 use cardest::router::{start_cluster_router, ClusterRouterConfig, ClusterRouterHandle};
@@ -43,13 +44,17 @@ fn pi_shard(delay: Duration) -> ServeHandle {
     .expect("bind pi shard")
 }
 
+/// The tiny calibration set behind [`pi_engine`]: residuals of 0.01.
+fn pi_calibration() -> (Vec<Vec<f32>>, Vec<f64>) {
+    let n = 32usize;
+    (0..n).map(|i| (vec![i as f32 / n as f32], i as f64 / n as f64 + 0.01)).unzip()
+}
+
 /// The tiny calibrated engine behind [`pi_shard`].
 fn pi_engine(
     delay: Duration,
 ) -> ServeEngine<impl Fn(&[f32]) -> f64 + Send + Sync + 'static, AbsoluteResidual> {
-    let n = 32usize;
-    let xs: Vec<Vec<f32>> = (0..n).map(|i| vec![i as f32 / n as f32]).collect();
-    let ys: Vec<f64> = (0..n).map(|i| i as f64 / n as f64 + 0.01).collect();
+    let (xs, ys) = pi_calibration();
     let model = move |f: &[f32]| {
         if !delay.is_zero() {
             std::thread::sleep(delay);
@@ -615,5 +620,154 @@ fn shard_scrape_declares_each_family_once_with_telemetry_on_and_off() {
         "cardest_model_mode_drifted{model=\"alt\"}",
     ] {
         assert!(off.iter().any(|s| s.starts_with(prefix)), "missing {prefix}*:\n{}", bodies[1]);
+    }
+}
+
+/// [`pi_engine`]'s calibration behind a primary whose forward returns NaN
+/// while `failing` is set, with a conformal fallback. Every call returns
+/// one type, so two of these share a registry.
+fn switchable_engine(
+    failing: Arc<AtomicBool>,
+) -> ServeEngine<impl Fn(&[f32]) -> f64 + Send + Sync + 'static, AbsoluteResidual> {
+    let (xs, ys) = pi_calibration();
+    let model = move |f: &[f32]| {
+        if failing.load(Ordering::SeqCst) {
+            f64::NAN
+        } else {
+            f64::from(f[0])
+        }
+    };
+    let healing = SelfHealingService::new(
+        model,
+        AbsoluteResidual,
+        &xs,
+        &ys,
+        PiServiceConfig::default(),
+        HealConfig::default(),
+    );
+    let fallback =
+        OnlineConformal::new(|f: &[f32]| f64::from(f[0]), AbsoluteResidual, &xs, &ys, 0.1);
+    ServeEngine::new(healing, vec![Box::new(fallback)], 1)
+}
+
+/// A request body: the features `xs`, and the truths `xs[i] + shifts[i]`
+/// when `shifts` is given.
+fn body(xs: &[f32], shifts: Option<&[f64]>) -> Vec<u8> {
+    let list = |items: Vec<String>| items.join(",");
+    let features = list(xs.iter().map(|x| format!("[{x}]")).collect());
+    let Some(shifts) = shifts else {
+        return format!("{{\"features\":[{features}]}}").into_bytes();
+    };
+    let truths =
+        list(xs.iter().zip(shifts).map(|(&x, s)| (f64::from(x) + s).to_string()).collect());
+    format!("{{\"features\":[{features}],\"truths\":[{truths}]}}").into_bytes()
+}
+
+/// Each model explains itself on `/metrics`, with telemetry on and off:
+/// `default` has an open primary breaker, a fallback that served, a
+/// promoted recalibration and a rolling coverage of one half; `alt` is
+/// calm. Every chain fact leaves labeled with its model, and no
+/// process-level family carries one.
+#[test]
+fn shard_scrape_labels_each_models_chain_facts_with_telemetry_on_and_off() {
+    let _guard = trace_lock();
+    trace::reset();
+    trace::set_sample_rate(0);
+    ce_telemetry::global().reset();
+    let was_enabled = ce_telemetry::enabled();
+    ce_telemetry::set_enabled(true);
+
+    // Residuals that grow past every calibrated score (each truth is
+    // missed, so the coverage alarm fires), then settle at 0.25: the
+    // healing layer gathers the settled scores and promotes a refit. An
+    // identical engine finds the truth that promotes.
+    let xs: Vec<f32> = (0..400).map(|i| (i % 32) as f32 / 32.0).collect();
+    let shifts: Vec<f64> =
+        (0..xs.len()).map(|i| if i < 80 { 0.1 + i as f64 / 1000.0 } else { 0.25 }).collect();
+    let probe = switchable_engine(Arc::new(AtomicBool::new(false)));
+    let promoting = (0..xs.len())
+        .find(|&i| {
+            let before = probe.heal_state();
+            probe.observe(&[xs[i]], f64::from(xs[i]) + shifts[i]);
+            before == HealState::Recalibrating && probe.heal_state() == HealState::Healthy
+        })
+        .expect("the drifted stream promotes")
+        + 1;
+
+    let failing = Arc::new(AtomicBool::new(false));
+    let registry = ModelRegistry::new(RegistryTuning::default());
+    registry.register("default", switchable_engine(Arc::clone(&failing)));
+    registry.register("alt", switchable_engine(Arc::new(AtomicBool::new(false))));
+    let shard = start_registry_server(
+        Arc::new(registry),
+        "127.0.0.1:0",
+        HttpServeConfig { workers: 2, ..Default::default() },
+    )
+    .expect("bind registry shard");
+    let mut client = HttpClient::connect(shard.local_addr()).expect("connect");
+    let mut post = |path: &str, body: &[u8]| {
+        let headers = vec![("content-type", "application/json")];
+        let resp = client.request("POST", path, headers, body).expect("post");
+        assert_eq!(resp.status, 200, "{path}: {}", String::from_utf8_lossy(&resp.body));
+    };
+    post("/v1/observe/default", &body(&xs[..promoting], Some(&shifts)));
+    // After the promotion one truth is covered and one missed.
+    post("/v1/observe/default", &body(&[0.5, 0.5], Some(&[0.0, 10.0])));
+    post("/v1/observe/alt", &body(&xs[..8], Some(&[0.01; 8])));
+    let eight = body(&xs[..8], None);
+    post("/v1/predict/alt", &eight);
+    // A primary that answers NaN fails five queries and its breaker opens;
+    // the fallback answers all eight.
+    failing.store(true, Ordering::SeqCst);
+    post("/v1/predict/default", &eight);
+
+    let mut bodies = Vec::new();
+    for telemetry_on in [true, false] {
+        ce_telemetry::set_enabled(telemetry_on);
+        let resp = client.get("/metrics").expect("scrape");
+        assert_eq!(resp.status, 200);
+        bodies.push(String::from_utf8_lossy(&resp.body).into_owned());
+    }
+    ce_telemetry::set_enabled(was_enabled);
+    shard.drain();
+
+    let model_series = |body: &str| -> Vec<String> {
+        body.lines().filter(|l| l.starts_with("cardest_model_")).map(str::to_string).collect()
+    };
+    assert_eq!(model_series(&bodies[0]), model_series(&bodies[1]), "on and off differ");
+    for body in &bodies {
+        for (fact, default, alt) in [
+            ("breakers_open", "1", "0"),
+            ("breaker_trips", "1", "0"),
+            ("fallback_served", "8", "0"),
+            ("promotions", "1", "0"),
+            ("coverage", "0.5", "1.0"),
+            ("queries", "8", "8"),
+        ] {
+            for (model, value) in [("default", default), ("alt", alt)] {
+                let series = format!("cardest_model_{fact}{{model=\"{model}\"}} {value}");
+                assert!(body.lines().any(|l| l == series), "missing `{series}`:\n{body}");
+            }
+        }
+        // Process families hold process facts only: no unlabeled mirror of
+        // one chain's gauges, and no gauge every engine overwrites.
+        for decl in body.lines().filter_map(|line| line.strip_prefix("# TYPE ")) {
+            let (name, kind) = decl.split_once(' ').expect("`# TYPE name kind`");
+            assert!(
+                !(name.starts_with("cardest_resilient_") && kind == "gauge"),
+                "per-chain gauge `{name}` in the shard scrape:\n{body}"
+            );
+            assert!(
+                ![
+                    "cardest_heal_state",
+                    "cardest_heal_rollbacks",
+                    "cardest_heal_promotions",
+                    "cardest_monitor_coverage",
+                    "cardest_monitor_drift_active",
+                ]
+                .contains(&name),
+                "per-model family `{name}` in the process registry:\n{body}"
+            );
+        }
     }
 }

@@ -22,7 +22,10 @@
 //! 3. **`cache_hit_identical`** — ≥192 queries are served cold (cache
 //!    misses) and then repeatedly hot (hits): every hot body is
 //!    byte-identical to its cold counterpart on the wire, the hit counters
-//!    advance, and the hit path is faster than the miss path.
+//!    advance, and the hit path is faster than the miss path. Alongside
+//!    it, **`cache_bypass_ok`**: against the warm cache a malformed body
+//!    still answers `422` and a truth-carrying body is served fresh, and
+//!    neither moves the hit or miss counters.
 //!
 //! The routing contract rides along: named routes serve per-model, the
 //! bare route aliases `default` byte-for-byte, unknown models answer
@@ -449,6 +452,42 @@ pub fn tenant(scale: &Scale) -> Vec<ExperimentRecord> {
         cache_speedup, miss_us, hot_us
     );
 
+    // Bodies that must bypass the warm cache, counted as neither hit nor
+    // miss: a malformed one (the first cached body, truncated) answers 422,
+    // and one carrying truths for the first cached rows is served fresh
+    // from the pre-feedback state, so it renders the cold bytes.
+    let bypass_before = registry.cache().stats();
+    let first = &cache_bodies[0];
+    let malformed = probe
+        .post("/v1/predict/default", &first[..first.len() - 1])
+        .expect("malformed cache POST");
+    let rows: Vec<usize> = (0..CACHE_CHUNK).map(|j| j % bench.test.len()).collect();
+    let xs: Vec<Vec<f32>> = rows.iter().map(|&i| bench.test.x[i].clone()).collect();
+    let ys: Vec<f64> = rows.iter().map(|&i| bench.test.y[i]).collect();
+    let with_truths = probe
+        .post("/v1/predict/default", &predict_body(&xs, Some(&ys)))
+        .expect("truth-carrying cache POST");
+    let bypass_after = registry.cache().stats();
+    let cache_bypass_ok = malformed.status == 422
+        && with_truths.status == 200
+        && with_truths.body == cold_bodies[0]
+        && (bypass_after.hits, bypass_after.misses)
+            == (bypass_before.hits, bypass_before.misses);
+    assert!(
+        cache_bypass_ok,
+        "cache bypass broken: malformed {} truths {} (cold bytes {}), hits {} -> {}, \
+         misses {} -> {}",
+        malformed.status,
+        with_truths.status,
+        with_truths.body == cold_bodies[0],
+        bypass_before.hits,
+        bypass_after.hits,
+        bypass_before.misses,
+        bypass_after.misses
+    );
+    rec.extra("cache_bypass_ok", 1.0);
+    println!("  [cache] malformed and truth-carrying bodies bypass the warm cache");
+
     // Labeled series reached /metrics before the first server drains,
     // each model's chain facts under its own label.
     let metrics = probe.get("/metrics").expect("GET /metrics");
@@ -624,17 +663,18 @@ pub fn tenant(scale: &Scale) -> Vec<ExperimentRecord> {
 
     write_bench_summary(
         scale,
-        Gates { reload_zero_loss, tenant_isolation_held, cache_hit_identical },
+        Gates { reload_zero_loss, tenant_isolation_held, cache_hit_identical, cache_bypass_ok },
         &rec,
     );
     vec![rec]
 }
 
-/// The three CI-greppable gate booleans.
+/// The CI-greppable gate booleans.
 struct Gates {
     reload_zero_loss: bool,
     tenant_isolation_held: bool,
     cache_hit_identical: bool,
+    cache_bypass_ok: bool,
 }
 
 /// Writes `BENCH_tenant.json` in the working directory: the gate fields CI
@@ -645,6 +685,7 @@ fn write_bench_summary(scale: &Scale, gates: Gates, rec: &ExperimentRecord) {
     json.push_str(&format!("  \"reload_zero_loss\": {},\n", gates.reload_zero_loss));
     json.push_str(&format!("  \"tenant_isolation_held\": {},\n", gates.tenant_isolation_held));
     json.push_str(&format!("  \"cache_hit_identical\": {},\n", gates.cache_hit_identical));
+    json.push_str(&format!("  \"cache_bypass_ok\": {},\n", gates.cache_bypass_ok));
     json.push_str("  \"metrics\": {\n");
     let scalars: Vec<String> = rec
         .extras

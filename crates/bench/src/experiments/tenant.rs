@@ -505,11 +505,7 @@ pub fn tenant(scale: &Scale) -> Vec<ExperimentRecord> {
     // --- 3. per-tenant fairness on a fresh rate-limited server ------------
     let fair_registry = Arc::new(
         ModelRegistry::<Mscn, AbsoluteResidual>::new(RegistryTuning {
-            batcher: BatcherConfig {
-                queue_cap: FAIR_QUEUE_CAP,
-                max_batch: 64,
-                window: Duration::ZERO,
-            },
+            batcher: BatcherConfig { queue_cap: FAIR_QUEUE_CAP, max_batch: 64 },
             cache_entries: 0,
             ..Default::default()
         })

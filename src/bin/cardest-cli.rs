@@ -430,7 +430,6 @@ struct ServeOptions {
     workers: usize,
     queue: usize,
     max_batch: usize,
-    batch_window_us: u64,
     /// Couple CoverageMonitor alarms to the Drifted-mode switch.
     alarm_coupled: bool,
     /// Trace head-sampling rate: trace one request in N. 0 disables
@@ -452,6 +451,7 @@ struct ServeOptions {
 
 impl Default for ServeOptions {
     fn default() -> Self {
+        let batcher = cardest::server::BatcherConfig::default();
         Self {
             dataset: "dmv".into(),
             rows: 10_000,
@@ -461,12 +461,8 @@ impl Default for ServeOptions {
             resume: false,
             listen: "127.0.0.1:8080".into(),
             workers: 4,
-            queue: 1024,
-            max_batch: 64,
-            // Zero matches HttpServeConfig::default(): the batcher's inline
-            // fast path plus busy-runner coalescing beat a fixed linger
-            // window at every measured concurrency.
-            batch_window_us: 0,
+            queue: batcher.queue_cap,
+            max_batch: batcher.max_batch,
             alarm_coupled: false,
             trace_sample: ce_telemetry::trace::DEFAULT_SAMPLE_RATE,
             models: Vec::new(),
@@ -516,7 +512,6 @@ static SERVE: Command<ServeOptions> = Command {
         Flag::valued("--workers", "N", |o, v| value(v).map(|v| o.workers = v)),
         Flag::valued("--queue", "N", |o, v| value(v).map(|v| o.queue = v)),
         Flag::valued("--max-batch", "N", |o, v| value(v).map(|v| o.max_batch = v)),
-        Flag::valued("--batch-window-us", "N", |o, v| value(v).map(|v| o.batch_window_us = v)),
         Flag::valued("--trace-sample", "N", |o, v| value(v).map(|v| o.trace_sample = v)),
         Flag::switch("--alarm-coupled", |o, _| {
             o.alarm_coupled = true;
@@ -712,7 +707,6 @@ fn run_serve(opts: ServeOptions) {
         workers: opts.workers,
         queue_cap: opts.queue,
         max_batch: opts.max_batch,
-        batch_window: std::time::Duration::from_micros(opts.batch_window_us),
         ..HttpServeConfig::default()
     };
     let mut tuning = RegistryTuning::from_http(&http_config);
@@ -766,12 +760,11 @@ fn run_serve(opts: ServeOptions) {
         }
     };
     eprintln!(
-        "listening on http://{} (workers {}, queue {}, max-batch {}, window {}us, models: {})",
+        "listening on http://{} (workers {}, queue {}, max-batch {}, models: {})",
         handle.local_addr(),
         opts.workers,
         opts.queue,
         opts.max_batch,
-        opts.batch_window_us,
         registry.names().join(", "),
     );
     eprintln!(
@@ -1544,8 +1537,6 @@ mod tests {
             "256",
             "--max-batch",
             "32",
-            "--batch-window-us",
-            "250",
             "--alarm-coupled",
             "--resume",
         ]);
@@ -1556,7 +1547,6 @@ mod tests {
         assert_eq!(opts.workers, 8);
         assert_eq!(opts.queue, 256);
         assert_eq!(opts.max_batch, 32);
-        assert_eq!(opts.batch_window_us, 250);
         assert!(opts.alarm_coupled);
         assert!(opts.resume);
     }

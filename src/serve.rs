@@ -63,14 +63,13 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 use crate::conformal::{
     BreakerSnapshot, BreakerState, CardEstError, Checkpoint, HealConfig, HealState,
     PiEstimator, PredictionInterval, Regressor, ResilientService, ScoreFunction,
     SelfHealingService, ServiceMode,
 };
-use ce_server::{BatcherStats, HttpServer, Response, ServerStats};
+use ce_server::{BatcherConfig, BatcherStats, HttpServer, Response, ServerStats};
 use ce_telemetry::trace;
 
 /// Interval results for one batch, in query order.
@@ -398,14 +397,10 @@ pub struct HttpServeConfig {
     /// 503 + `Retry-After`).
     pub queue_cap: usize,
     /// Maximum queries coalesced into one `predict_interval_batch` call.
+    /// The batcher never lingers for stragglers: an uncontended request
+    /// runs on its own worker thread, and requests that arrive while the
+    /// runner is busy coalesce into the next batch.
     pub max_batch: usize,
-    /// Batch window: how long the batcher lingers for stragglers. The
-    /// default is zero: the batcher's inline fast path serves uncontended
-    /// submissions on the caller's thread, and under contention queued
-    /// requests coalesce naturally while the runner is busy — a measured
-    /// sweep (500µs, 100µs, 0) showed no throughput gain from lingering,
-    /// only added per-request latency at low concurrency.
-    pub batch_window: Duration,
     /// Maximum concurrently open connections (overflow is shed with a raw
     /// 503 at accept).
     pub max_conns: usize,
@@ -413,11 +408,11 @@ pub struct HttpServeConfig {
 
 impl Default for HttpServeConfig {
     fn default() -> Self {
+        let batcher = BatcherConfig::default();
         HttpServeConfig {
             workers: 4,
-            queue_cap: 1024,
-            max_batch: 64,
-            batch_window: Duration::ZERO,
+            queue_cap: batcher.queue_cap,
+            max_batch: batcher.max_batch,
             max_conns: 4096,
         }
     }
@@ -455,7 +450,8 @@ impl ServeHandle {
 
     /// Graceful drain: readiness flips to 503, the acceptor stops, in-flight
     /// requests finish (their batcher submissions included), every model's
-    /// batcher flushes, and all threads join. Blocks until done; idempotent.
+    /// batcher stops admitting, and all threads join. Blocks until done;
+    /// idempotent.
     pub fn drain(&self) {
         if !self.draining.swap(true, Ordering::SeqCst) {
             trace::event("drain", "serve drain requested");
@@ -479,7 +475,7 @@ impl Drop for ServeHandle {
 /// [`crate::tenant::start_registry_server`] for the full multi-tenant
 /// surface.
 ///
-/// The returned handle owns the accept/worker/batcher threads; the caller
+/// The returned handle owns the poller/accept/worker threads; the caller
 /// keeps its own `Arc` to the engine for checkpointing and shutdown policy.
 pub fn start_server<M, S>(
     engine: Arc<ServeEngine<M, S>>,

@@ -111,11 +111,7 @@ pub struct RegistryTuning {
 impl Default for RegistryTuning {
     fn default() -> Self {
         RegistryTuning {
-            batcher: BatcherConfig {
-                queue_cap: 1024,
-                max_batch: 64,
-                window: std::time::Duration::ZERO,
-            },
+            batcher: BatcherConfig::default(),
             cache_entries: 0,
             replay_cap: 256,
             min_replay: 32,
@@ -128,11 +124,7 @@ impl RegistryTuning {
     /// limiter off — [`crate::serve::start_server`] semantics).
     pub fn from_http(config: &HttpServeConfig) -> RegistryTuning {
         RegistryTuning {
-            batcher: BatcherConfig {
-                queue_cap: config.queue_cap,
-                max_batch: config.max_batch,
-                window: config.batch_window,
-            },
+            batcher: BatcherConfig { queue_cap: config.queue_cap, max_batch: config.max_batch },
             ..RegistryTuning::default()
         }
     }
@@ -724,7 +716,8 @@ fn width_ratio(shadow: &BatchResults, live: &BatchResults) -> f64 {
 /// Type-erased batcher control, so the non-generic [`ServeHandle`] can
 /// drain and sum a generic registry's per-model batchers.
 pub trait RegistryCtl: Send + Sync {
-    /// Shuts down every model's micro-batcher (flushes queues, joins).
+    /// Shuts down every model's micro-batcher (stops admitting; queued
+    /// submissions are still served).
     fn shutdown_batchers(&self);
     /// Sums counters over every model's batcher (`max_batch_seen` is the
     /// max).
@@ -979,22 +972,25 @@ where
     }
     // The rows move into the batch; only feedback needs them afterwards.
     let observed = truths.is_some().then(|| features.clone());
-    let (results, stamps): (BatchResults, Vec<BatchStamp>) =
-        match entry.batcher.submit_all(features) {
-            Ok(served) => served.into_iter().unzip(),
-            Err(BatchError::QueueFull) => {
-                trace::event("shed", "admission queue full");
-                if let Some(limiter) = registry.limiter() {
-                    limiter.note_overflow(tenant);
-                }
-                return json_error(503, "admission queue full")
-                    .header("Retry-After", registry.overflow_retry_hint(tenant));
+    let served = match entry.batcher.submit_all(features) {
+        Ok(served) => served,
+        Err(BatchError::QueueFull) => {
+            trace::event("shed", "admission queue full");
+            if let Some(limiter) = registry.limiter() {
+                limiter.note_overflow(tenant);
             }
-            Err(BatchError::Shutdown) => {
-                return json_error(503, "server draining").header("Retry-After", "1");
-            }
-            Err(BatchError::Failed) => return json_error(500, "batch execution failed"),
-        };
+            return json_error(503, "admission queue full")
+                .header("Retry-After", registry.overflow_retry_hint(tenant));
+        }
+        Err(BatchError::Shutdown) => {
+            return json_error(503, "server draining").header("Retry-After", "1");
+        }
+        Err(BatchError::Failed) => return json_error(500, "batch execution failed"),
+    };
+    // A request runs in exactly one batch, so every result carries the
+    // stamp of the one state its intervals were computed in.
+    let stamp = served.first().map(|&(_, stamp)| stamp);
+    let results: BatchResults = served.into_iter().map(|(result, _)| result).collect();
     // Prequential feedback strictly after the predictions: the intervals
     // above were served from pre-feedback state, like the offline loops.
     if let (Some(features), Some(truths)) = (&observed, &truths) {
@@ -1003,16 +999,12 @@ where
             entry.remember(features, truths);
         }
     }
-    // `mode` comes from the state the intervals were computed in (a request
-    // may span two batches; the last one labels it).
-    let mode = stamps.last().map_or_else(|| entry.engine().mode(), |s| s.mode);
+    let mode = stamp.map_or_else(|| entry.engine().mode(), |s| s.mode);
     let t_render = clock();
     let body = render_predict_body(mode, &results);
-    let generation = stamps.first().and_then(|s| s.generation);
+    let generation = stamp.and_then(|s| s.generation);
     if let (Some((signature, _)), Some(generation)) = (lookup, generation) {
-        if stamps.iter().all(|s| s.generation == Some(generation))
-            && results.iter().all(|r| r.is_ok())
-        {
+        if results.iter().all(|r| r.is_ok()) {
             registry.cache.insert(&entry.name, req.body, signature, generation, &body);
         }
     }

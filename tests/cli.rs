@@ -36,7 +36,6 @@ const FLAGS: &[(&str, &[&str])] = &[
             "--workers",
             "--queue",
             "--max-batch",
-            "--batch-window-us",
             "--trace-sample",
             "--alarm-coupled",
             "--models",

@@ -191,11 +191,7 @@ fn malformed_request_lines_reject_cleanly() {
 #[test]
 fn micro_batcher_survives_a_concurrent_fleet() {
     let batcher: Arc<MicroBatcher<u64, u64>> = MicroBatcher::new(
-        BatcherConfig {
-            queue_cap: 256,
-            max_batch: 16,
-            window: std::time::Duration::from_micros(200),
-        },
+        BatcherConfig { queue_cap: 256, max_batch: 16 },
         |items: Vec<u64>| items.iter().map(|v| v * 2 + 1).collect(),
     );
     let threads: Vec<_> = (0..8)
@@ -249,7 +245,6 @@ fn loopback_fleet_never_deadlocks_the_server() {
             workers: 4,
             queue_cap: 64,
             max_batch: 8,
-            batch_window: std::time::Duration::from_micros(200),
             ..Default::default()
         },
     )

@@ -1,7 +1,7 @@
 //! Heap allocations a served predict costs, counted by a real allocator.
 //!
 //! A std-only counting `#[global_allocator]` counts every allocation in the
-//! process: the server's worker and batcher threads as well as the client.
+//! process: the server's worker threads as well as the client.
 //! One keep-alive connection sends truth-free 8-query predicts and then as
 //! many `GET /healthz` requests; the difference per request is what the
 //! predict path allocates beyond a bare request/response round trip (its
